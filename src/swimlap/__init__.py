@@ -1,63 +1,7 @@
 """Swim-lap track reconstruction and propulsive energetics from tag data."""
 
-from .energetics import (
-    PowerLawFit,
-    PowerSeries,
-    UndefinedCOTError,
-    cost_of_transport,
-    drag_force,
-    fit_power_law,
-    nondimensionalize,
-    thrust_power,
-    thrust_work,
-    wave_drag_factor,
-)
-from .ingest import (
-    LagoonBoundary,
-    MasterTimeline,
-    TagSeries,
-    latlon_to_local,
-    local_to_latlon,
-    master_timeline,
-    moving_average,
-    parse_tag_csv,
-    resample_linear,
-)
-from .kinematics import KinematicState, central_diff, compute_kinematics
-from .localization import (
-    CircleFit,
-    Track,
-    align_at_corner,
-    curvature_radius,
-    dead_reckon,
-    fit_circle,
-)
-from .orientation import (
-    OrientationSeries,
-    ahrs_update,
-    estimate_orientation,
-    euler_to_quat,
-    quat_to_euler,
-)
-from .params import ANIMALS, AnimalParams, get_animal
-from .segmentation import (
-    LapEvents,
-    NormalizedLap,
-    SegmentationConfig,
-    classify_phases,
-    detect_laps,
-    lap_metrics,
-    normalize_lap,
-    pct_lap_time,
-)
-from .simulator import (
-    GroundTruth,
-    LapScenario,
-    NoiseSpec,
-    generate_truth,
-    preset_scenario,
-    simulate,
-    synthesize_tag,
-)
+from .ingest import parse_tag_csv
+from .params import get_animal
+from .simulator import LapScenario, simulate
 
 __version__ = "0.1.0"

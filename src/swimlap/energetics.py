@@ -24,10 +24,6 @@ DEFAULT_GAMMA_TABLE = ((0.5, 2.5), (3.0, 1.0))
 V_MIN_COT = 0.05
 
 
-class UndefinedCOTError(ValueError):
-    """Raised when COT is requested at a speed below the guard threshold."""
-
-
 @dataclass
 class PowerSeries:
     """Per-sample force and power channels of the hydrodynamic model."""
@@ -91,7 +87,9 @@ def thrust_power(t: np.ndarray, v: np.ndarray, a_t: np.ndarray,
 
     ``p_thrust = (m + 0.4 rho V) a_t v + 0.5 rho A_s C_D gamma v^3``;
     the returned series carries the force/power decomposition, the
-    non-dimensional power, and COT (NaN below the speed guard).
+    power over ``params.norm_constant``, and the metabolic cost of
+    transport ``(p_thrust / (eta_ms eta_sp) + P_RMR) / (m v)`` in
+    J/(kg m), NaN at speeds up to ``v_min_cot``.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -116,36 +114,13 @@ def thrust_power(t: np.ndarray, v: np.ndarray, a_t: np.ndarray,
     )
 
 
-def cost_of_transport(p_thrust: float, v: float, params: AnimalParams,
-                      v_min: float = V_MIN_COT,
-                      eta_sp_fn=None) -> float:
-    """Metabolic cost of transport, J/(kg m).
-
-    ``(P/(eta_ms * eta_sp) + P_RMR) / (m v)``. Speeds at or below
-    ``v_min`` raise :class:`UndefinedCOTError` rather than clamping.
-    ``eta_sp_fn`` optionally supplies a speed-dependent propulsive
-    efficiency in place of the constant.
-    """
-    if v <= v_min:
-        raise UndefinedCOTError(f"undefined-COT: v={v:g} <= {v_min:g} m/s")
-    eta_sp = eta_sp_fn(v) if eta_sp_fn is not None else params.eta_sp
-    return (p_thrust / (params.eta_ms * eta_sp) + params.p_rmr) \
-        / (params.mass * v)
-
-
-def nondimensionalize(value: float | np.ndarray,
-                      params: AnimalParams) -> float | np.ndarray:
-    """Scale power (W) or work (J) by the constant m g^1.5 L^0.5."""
-    return value / params.norm_constant
-
-
 def thrust_work(p_thrust: np.ndarray, dt: float,
                 window: slice | np.ndarray | None = None,
                 rectify: bool = True) -> float:
-    """Rectangle-rule work over ``window`` (default: all samples), J.
+    """Rectangle-rule work of a power channel over ``window``, J.
 
-    ``rectify=True`` integrates max(P, 0) (propulsive output only);
-    ``rectify=False`` returns the raw signed sum.
+    ``window`` defaults to all samples. ``rectify=True`` integrates max(P, 0) (propulsive output only);
+    ``rectify=False`` returns the raw signed sum, as for drag work.
     """
     p = np.asarray(p_thrust, dtype=float)
     if window is not None:
@@ -157,17 +132,6 @@ def thrust_work(p_thrust: np.ndarray, dt: float,
     return float(np.sum(p) * dt)
 
 
-def drag_work(p_drag: np.ndarray, dt: float,
-              window: slice | np.ndarray | None = None) -> float:
-    """Signed (non-positive) drag work over ``window``, J."""
-    p = np.asarray(p_drag, dtype=float)
-    if window is not None:
-        p = p[window]
-    if p.size == 0:
-        raise ValueError("empty work window")
-    return float(np.sum(p) * dt)
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """Least-squares fit of P = coeff * v^exponent."""
@@ -175,14 +139,12 @@ class PowerLawFit:
     coeff: float
     exponent: float
     rms: float
-    nondimensional: bool = False
 
     def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
         return self.coeff * np.asarray(v, dtype=float) ** self.exponent
 
 
 def fit_power_law(v: np.ndarray, p: np.ndarray,
-                  nondimensional: bool = False,
                   max_iter: int = 200, tol: float = 1e-14) -> PowerLawFit:
     """Fit ``p = c * v**e`` by damped Gauss-Newton on squared residuals.
 
@@ -240,20 +202,5 @@ def fit_power_law(v: np.ndarray, p: np.ndarray,
         sse_prev = sse_new
 
     rms = math.sqrt(sse_prev / len(v))
-    return PowerLawFit(coeff=float(c), exponent=float(e), rms=rms,
-                       nondimensional=nondimensional)
+    return PowerLawFit(coeff=float(c), exponent=float(e), rms=rms)
 
-
-def cot_curve_minimum(fit: PowerLawFit, params: AnimalParams,
-                      v_max: float, n_grid: int = 2000) -> float:
-    """Speed minimizing predicted COT with the fitted power law, m/s.
-
-    Raises if the minimum sits on the grid boundary (no interior U-shape).
-    """
-    v = np.linspace(V_MIN_COT * 2, v_max, n_grid)
-    cot = (fit(v) / (params.eta_ms * params.eta_sp) + params.p_rmr) \
-        / (params.mass * v)
-    k = int(np.argmin(cot))
-    if k in (0, n_grid - 1):
-        raise ValueError("no interior COT minimum in (0, v_max)")
-    return float(v[k])

@@ -2,8 +2,8 @@
 
 The tag records two native rates: inertial channels (accelerometer,
 gyroscope, magnetometer) at nominally 50 Hz and environmental channels
-(depth, speed, temperature) at nominally 5 Hz. Parsing keeps both rates;
-all downstream analysis runs on a uniform 5 Hz master timeline.
+(depth, speed) at nominally 5 Hz. Parsing keeps both rates; all
+downstream analysis runs on a uniform 5 Hz master timeline.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
-# Canonical CSV column names; a schema map may rename any of them.
+# Canonical CSV column names; a schema map may rename any of them. The
+# tag's temperature column is accepted and ignored.
 CSV_COLUMNS = ("t", "ax", "ay", "az", "gx", "gy", "gz",
                "mx", "my", "mz", "depth", "speed", "temp")
 
@@ -72,7 +73,6 @@ class TagSeries:
     t_slow: np.ndarray
     depth: np.ndarray
     speed: np.ndarray
-    temp: np.ndarray | None = None
     flagged_rows: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -103,11 +103,12 @@ def parse_tag_csv(path: str | Path,
     """Parse a tag export CSV into a :class:`TagSeries`.
 
     ``schema`` maps canonical names (``t, ax..az, gx..gz, mx..mz, depth,
-    speed, temp``) to the file's column names; canonical names are used
+    speed``) to the file's column names; canonical names are used
     directly when omitted. A row is an IMU sample when all six
     accelerometer/gyroscope cells are present, and a slow sample when both
     depth and speed cells are present; one row may be both. Rows with
-    non-finite numeric cells are flagged and excluded.
+    non-finite numeric cells are flagged and excluded. Other columns,
+    such as ``temp``, are never read.
     """
     path = Path(path)
     if not path.exists():
@@ -124,7 +125,6 @@ def parse_tag_csv(path: str | Path,
                 raise IngestError(
                     f"missing column {colmap[required]!r} in {path}")
         has_mag = all(colmap[n] in header for n in MAG_FIELDS)
-        has_temp = colmap["temp"] in header
 
         t_imu, imu_rows = [], []
         t_slow, slow_rows = [], []
@@ -136,7 +136,6 @@ def parse_tag_csv(path: str | Path,
             imu_cells = _row_values(row, IMU_FIELDS, colmap)
             mag_cells = _row_values(row, MAG_FIELDS, colmap) if has_mag else []
             slow_cells = _row_values(row, SLOW_FIELDS, colmap)
-            temp_cell = _row_values(row, ("temp",), colmap)[0] if has_temp else ""
             # Partially filled channel groups are malformed, not usable data.
             if any(imu_cells) != all(imu_cells) or \
                     any(slow_cells) != all(slow_cells) or \
@@ -150,7 +149,6 @@ def parse_tag_csv(path: str | Path,
                             if has_mag and all(mag_cells) else None)
                 slow_vals = ([float(c) for c in slow_cells]
                              if all(slow_cells) else None)
-                temp_val = float(temp_cell) if temp_cell else math.nan
             except ValueError:
                 flagged.append(lineno)
                 continue
@@ -166,7 +164,7 @@ def parse_tag_csv(path: str | Path,
                     imu_rows.append(imu_vals)
             if slow_vals is not None:
                 t_slow.append(t_val)
-                slow_rows.append(slow_vals + [temp_val])
+                slow_rows.append(slow_vals)
 
     if not t_imu and not t_slow:
         raise IngestError(f"empty tag file: {path}")
@@ -179,7 +177,7 @@ def parse_tag_csv(path: str | Path,
     imu = (np.asarray(imu_rows, dtype=float).reshape(len(t_imu), -1)
            if t_imu else np.zeros((0, imu_width)))
     slow = (np.asarray(slow_rows, dtype=float).reshape(len(t_slow), -1)
-            if t_slow else np.zeros((0, 3)))
+            if t_slow else np.zeros((0, 2)))
     mag = None
     if has_mag and len(t_imu):
         mag = imu[:, 6:9]
@@ -187,9 +185,6 @@ def parse_tag_csv(path: str | Path,
             mag = None
         elif np.isnan(mag).any():
             raise IngestError("magnetometer present on only some IMU rows")
-    temp = slow[:, 2] if has_temp and len(t_slow) else None
-    if temp is not None and np.all(np.isnan(temp)):
-        temp = None
     return TagSeries(
         t_imu=np.asarray(t_imu, dtype=float),
         accel=imu[:, 0:3],
@@ -198,7 +193,6 @@ def parse_tag_csv(path: str | Path,
         t_slow=np.asarray(t_slow, dtype=float),
         depth=slow[:, 0],
         speed=slow[:, 1],
-        temp=temp,
         flagged_rows=flagged,
     )
 

@@ -7,7 +7,7 @@ downstream modules agree on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Seawater density used by the added-mass and drag models, kg/m^3.
 RHO_SEAWATER = 1030.0
@@ -93,9 +93,6 @@ class AnimalParams:
     def norm_constant(self) -> float:
         """Power normalization constant m * g^1.5 * L^0.5, W."""
         return self.mass * self.g ** 1.5 * self.length ** 0.5
-
-    def with_overrides(self, **kwargs) -> "AnimalParams":
-        return replace(self, **kwargs)
 
 
 # Study animals: mass, length, resting metabolic power.

@@ -77,7 +77,8 @@ class RunConfig:
     animal: AnimalParams
     boundary: str | None = None
     origin: tuple[float, float] | None = None
-    station: tuple[float, float] = (0.0, 0.0)
+    # None: the boundary's station, or (0, 0) without a boundary.
+    station: tuple[float, float] | None = None
     emit: tuple[str, ...] = EMIT_CHOICES
     jobs: int = 1
     schema: dict | None = None
@@ -97,6 +98,8 @@ class RunConfig:
                 raise ValueError(f"unknown emit flag {name!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.station is None and self.boundary is None:
+            object.__setattr__(self, "station", (0.0, 0.0))
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
@@ -188,7 +191,7 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
     track.radius = curvature_radius(track, timeline.dt)
     power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal,
                          gamma_table=cfg.gamma_table, v_min_cot=cfg.v_min_cot)
-    events = detect_laps(kin, power, cfg.segmentation)
+    events = detect_laps(kin, cfg.segmentation)
     labels = classify_phases(kin, events, cfg.segmentation)
     laps = [lap_metrics(kin, power, track, ev, labels, cfg.animal)
             for ev in events]
@@ -269,8 +272,7 @@ def fit_summary(laps: list[dict]) -> dict:
                 entry["a1"] = fit.coeff
                 entry["a2"] = fit.exponent
                 entry["rms_w"] = fit.rms
-                fit_nd = fit_power_law(v_bl[good], p_nd[good],
-                                       nondimensional=True)
+                fit_nd = fit_power_law(v_bl[good], p_nd[good])
                 entry["b1"] = fit_nd.coeff
                 entry["b2"] = fit_nd.exponent
                 entry["rms_nd"] = fit_nd.rms
@@ -347,7 +349,7 @@ def run_analyze(cfg: RunConfig) -> int:
         updates: dict = {}
         if cfg.origin is None:
             updates["origin"] = boundary.origin
-        if cfg.station == (0.0, 0.0):
+        if cfg.station is None:
             updates["station"] = boundary.station
         if updates:
             cfg_use = replace(cfg, **updates)
@@ -455,8 +457,9 @@ def run_report(run_dir: str | Path) -> int:
             y = np.array([float(r["y"]) for r in track_rows])
             tracks, corners, keep = [], [], []
             for lap in laps:
-                sel = (t >= float(lap["t_start"])) & (t <= float(lap["t_end"]))
-                idx = np.flatnonzero(sel)
+                # The lap's half-open sample window, as in LapEvents.window.
+                idx = np.flatnonzero((t >= float(lap["t_start"]))
+                                     & (t < float(lap["t_end"])))
                 if len(idx) < 3:
                     continue
                 ci = int(np.argmin(np.abs(t[idx] - float(lap["t_corner"]))))

@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import PowerSeries, drag_work, thrust_work
+from .energetics import PowerSeries, thrust_work
 from .ingest import moving_average
 from .kinematics import KinematicState
 from .localization import CircleFit, Track, fit_circle
 from .params import AnimalParams
 
 REST, TRANSIENT, CONSISTENT, GLIDE = 0, 1, 2, 3
-PHASE_NAMES = {REST: "rest", TRANSIENT: "transient",
-               CONSISTENT: "consistent_speed", GLIDE: "glide"}
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,12 @@ class SegmentationConfig:
 
 @dataclass
 class LapEvents:
-    """Times (s) of one lap's boundary and cornering events."""
+    """Times (s) of one lap's boundary and cornering events.
+
+    The lap owns the samples ``window`` = [start_idx, end_idx); ``t_e`` is
+    the instant one sample past the last of them, so ``duration`` is the
+    window length times the sample period.
+    """
 
     t_s: float
     t_c: float
@@ -62,6 +65,10 @@ class LapEvents:
                 f"{self.t_c} / {self.turn_end} / {self.t_e}")
 
     @property
+    def window(self) -> slice:
+        return slice(self.start_idx, self.end_idx)
+
+    @property
     def duration(self) -> float:
         return self.t_e - self.t_s
 
@@ -70,10 +77,18 @@ class LapEvents:
         return self.turn_end - self.turn_start
 
 
+def _runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) bounds of each run of equal values."""
+    if len(values) == 0:
+        return []
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1,
+                             [len(values)]))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """[start, stop) bounds of each run of True."""
-    idx = np.flatnonzero(np.diff(np.concatenate(([0], mask.view(np.int8), [0]))))
-    return list(zip(idx[0::2], idx[1::2]))
+    return [(i0, i1) for i0, i1 in _runs(mask) if mask[i0]]
 
 
 def _sustain(mask: np.ndarray, min_len: int) -> np.ndarray:
@@ -101,7 +116,7 @@ def fluking_mask(states: KinematicState,
     return np.maximum(hi, -lo) >= cfg.theta_osc
 
 
-def detect_laps(states: KinematicState, power: PowerSeries | None = None,
+def detect_laps(states: KinematicState,
                 cfg: SegmentationConfig = SegmentationConfig()) -> list[LapEvents]:
     """Find all laps in a trial and their cornering events.
 
@@ -134,7 +149,8 @@ def detect_laps(states: KinematicState, power: PowerSeries | None = None,
         if not fluk[i0:min(i0 + start_n, n)].any():
             continue
         t_s = float(t[i0])
-        t_e = float(t[i1]) if i1 < n else float(t[-1])
+        t_e = float(t[i1]) if i1 < n else float(t[-1]) + dt
+        lap_t = t[i0:i1]
         an = np.abs(states.a_n[i0:i1])
         peak = float(an.max())
         c_rel = int(np.argmax(an))
@@ -148,39 +164,37 @@ def detect_laps(states: KinematicState, power: PowerSeries | None = None,
                 "mid-lap", stacklevel=2)
             c_rel = (i1 - i0) // 2
         # The event needs interior samples on both sides for valid bounds.
-        c_idx = int(np.clip(i0 + c_rel, i0 + 1, min(i1, n) - 2))
-        t_c = float(t[c_idx])
-        turn_start, turn_end = _turn_bounds(t, np.abs(states.a_n), i0, i1,
-                                            c_idx, peak, cfg.turn_level, dt)
+        c_rel = int(np.clip(c_rel, 1, i1 - i0 - 2))
+        turn_start, turn_end = _turn_bounds(lap_t, an, c_rel, peak,
+                                            cfg.turn_level, dt)
         events.append(LapEvents(
-            t_s=t_s, t_c=t_c, t_e=t_e, turn_start=turn_start,
-            turn_end=turn_end, start_idx=i0, corner_idx=c_idx,
-            end_idx=min(i1, n)))
+            t_s=t_s, t_c=float(lap_t[c_rel]), t_e=t_e,
+            turn_start=turn_start, turn_end=turn_end, start_idx=i0,
+            corner_idx=i0 + c_rel, end_idx=i1))
     return events
 
 
-def _turn_bounds(t, an, i0, i1, c_idx, peak, level_frac, dt):
+def _turn_bounds(t, an, c, peak, level_frac, dt):
+    """Turn window around sample ``c`` of one lap's samples ``t``, ``an``."""
     if peak <= 0.0:
-        return float(t[c_idx]) - dt / 2, float(t[c_idx]) + dt / 2
+        return float(t[c]) - dt / 2, float(t[c]) + dt / 2
     level = level_frac * peak
-    turn_start = float(t[i0])
-    for k in range(c_idx - 1, i0 - 1, -1):
+    turn_start = float(t[0])
+    for k in range(c - 1, -1, -1):
         if an[k] < level:
             frac = (level - an[k]) / (an[k + 1] - an[k])
             turn_start = float(t[k] + frac * dt)
             break
-    turn_end = float(t[min(i1, len(t)) - 1])
-    for k in range(c_idx + 1, min(i1, len(t))):
+    turn_end = float(t[-1])
+    for k in range(c + 1, len(t)):
         if an[k] < level:
             frac = (an[k - 1] - level) / (an[k - 1] - an[k])
             turn_end = float(t[k - 1] + frac * dt)
             break
     # Keep strict event ordering even for degenerate peaks.
-    t_c = float(t[c_idx])
-    t_s = float(t[i0])
-    t_e = float(t[min(i1, len(t)) - 1])
-    turn_start = min(max(turn_start, t_s + 1e-9), t_c - 1e-9)
-    turn_end = max(min(turn_end, t_e - 1e-9), t_c + 1e-9)
+    t_c = float(t[c])
+    turn_start = min(max(turn_start, float(t[0]) + 1e-9), t_c - 1e-9)
+    turn_end = max(min(turn_end, float(t[-1]) - 1e-9), t_c + 1e-9)
     return turn_start, turn_end
 
 
@@ -203,22 +217,12 @@ def classify_phases(states: KinematicState, events: list[LapEvents],
     transient = _sustain(np.abs(states.a_t) >= cfg.a_thresh, trans_n)
 
     for ev in events:
-        i0, i1 = ev.start_idx, ev.end_idx
-        seg = np.where(fluk[i0:i1],
-                       np.where(transient[i0:i1], TRANSIENT, CONSISTENT),
+        lap = ev.window
+        seg = np.where(fluk[lap],
+                       np.where(transient[lap], TRANSIENT, CONSISTENT),
                        GLIDE).astype(np.int8)
-        labels[i0:i1] = _merge_short_runs(seg, min_n)
+        labels[lap] = _merge_short_runs(seg, min_n)
     return labels
-
-
-def _label_runs(seg: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = 0
-    for i in range(1, len(seg) + 1):
-        if i == len(seg) or seg[i] != seg[start]:
-            runs.append((start, i))
-            start = i
-    return runs
 
 
 def _merge_short_runs(seg: np.ndarray, min_n: int) -> np.ndarray:
@@ -227,7 +231,7 @@ def _merge_short_runs(seg: np.ndarray, min_n: int) -> np.ndarray:
     changed = True
     while changed:
         changed = False
-        runs = _label_runs(out)
+        runs = _runs(out)
         for k, (r0, r1) in enumerate(runs):
             if r1 - r0 < min_n and len(runs) > 1:
                 target = runs[k - 1] if k > 0 else runs[k + 1]
@@ -272,10 +276,10 @@ def corner_circle_fits(track: Track, t: np.ndarray, events: LapEvents,
     Fits a centered ``width_pct``-wide window at each requested lap
     fraction; straight (collinear) or too-short windows yield None.
     """
-    sel = (t >= events.t_s) & (t <= events.t_e)
-    pct = pct_lap_time(t[sel] - events.t_s, events.t_c - events.t_s,
+    lap = events.window
+    pct = pct_lap_time(t[lap] - events.t_s, events.t_c - events.t_s,
                        events.t_e - events.t_s)
-    xs, ys = track.x[sel], track.y[sel]
+    xs, ys = track.x[lap], track.y[lap]
     out: dict[float, CircleFit | None] = {}
     for frac in fractions:
         m = (pct >= frac - width_pct / 2) & (pct <= frac + width_pct / 2)
@@ -292,18 +296,19 @@ def corner_circle_fits(track: Track, t: np.ndarray, events: LapEvents,
 def normalize_lap(channels: dict[str, np.ndarray], t: np.ndarray,
                   events: LapEvents, grid_n: int = 201) -> NormalizedLap:
     """Resample lap channels onto ``grid_n`` uniform percentage points."""
-    sel = (t >= events.t_s) & (t <= events.t_e)
-    if np.count_nonzero(sel) < 2:
+    lap = events.window
+    t_lap = t[lap]
+    if len(t_lap) < 2:
         raise ValueError("lap holds fewer than 2 samples")
-    rel = t[sel] - events.t_s
-    pct = pct_lap_time(rel, events.t_c - events.t_s, events.t_e - events.t_s)
+    pct = pct_lap_time(t_lap - events.t_s, events.t_c - events.t_s,
+                       events.t_e - events.t_s)
     grid = np.linspace(0.0, 100.0, grid_n)
     out = {}
     for name, ch in channels.items():
         ch = np.asarray(ch, dtype=float)
         if len(ch) != len(t):
             raise ValueError(f"channel {name!r} not aligned to t")
-        out[name] = np.interp(grid, pct, ch[sel])
+        out[name] = np.interp(grid, pct, ch[lap])
     return NormalizedLap(pct=grid, channels=out)
 
 
@@ -312,11 +317,11 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
                 params: AnimalParams) -> dict:
     """Summary record for one analyzed lap (durations, peaks, work, COT)."""
     dt = states.dt
-    i0, i1 = events.start_idx, events.end_idx
-    t = states.t
-    lap = slice(i0, i1)
+    lap = events.window
+    t = states.t[lap]
     lap_labels = labels[lap]
-    out_mask = t[lap] < events.t_c
+    p_thrust = power.p_thrust[lap]
+    out_mask = t < events.t_c
     turn_mask = (t >= events.turn_start) & (t <= events.turn_end)
 
     def phase_s(code: int, half: np.ndarray | None = None) -> float:
@@ -329,17 +334,17 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
         mask = lap_labels == code
         if not mask.any():
             return 0.0
-        return thrust_work(power.p_thrust[lap], dt, window=mask,
-                           rectify=rectify)
+        return thrust_work(p_thrust, dt, window=mask, rectify=rectify)
 
     work_rect = {code: phase_work(code, True)
                  for code in (TRANSIENT, CONSISTENT, GLIDE, REST)}
     work_signed = {code: phase_work(code, False)
                    for code in (TRANSIENT, CONSISTENT, GLIDE, REST)}
 
-    finite_r = track.radius[turn_mask]
+    finite_r = track.radius[lap][turn_mask]
     finite_r = finite_r[np.isfinite(finite_r)]
-    turn_pts = np.column_stack([track.x[turn_mask], track.y[turn_mask]])
+    turn_pts = np.column_stack([track.x[lap][turn_mask],
+                                track.y[lap][turn_mask]])
     try:
         corner_fit_radius = fit_circle(turn_pts).radius
     except ValueError:
@@ -349,6 +354,7 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
     omega_c = abs(states.omega[events.corner_idx])
     corner_radius = (float(states.v[events.corner_idx] / omega_c)
                      if omega_c > 0.0 else float("nan"))
+    work_j = thrust_work(p_thrust, dt)
 
     metrics = {
         "t_start": events.t_s,
@@ -361,18 +367,16 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
         "path_length_m": float(np.sum(states.v_xy[lap]) * dt),
         "peak_speed_ms": float(states.v[lap].max()),
         "mean_speed_ms": float(states.v[lap].mean()),
-        "peak_power_w": float(power.p_thrust[lap].max()),
-        "mean_power_w": float(power.p_thrust[lap].mean()),
+        "peak_power_w": float(p_thrust.max()),
+        "mean_power_w": float(p_thrust.mean()),
         "peak_omega_rads": float(np.abs(states.omega[lap]).max()),
         "corner_radius_m": corner_radius,
         "mean_turn_radius_m": float(finite_r.mean()) if len(finite_r) else float("nan"),
         "corner_fit_radius_m": float(corner_fit_radius),
-        "thrust_work_j": thrust_work(power.p_thrust[lap], dt),
-        "thrust_work_signed_j": thrust_work(power.p_thrust[lap], dt,
-                                            rectify=False),
-        "drag_work_j": drag_work(power.p_drag[lap], dt),
-        "thrust_work_nd": thrust_work(power.p_thrust[lap], dt)
-        / params.norm_constant,
+        "thrust_work_j": work_j,
+        "thrust_work_signed_j": thrust_work(p_thrust, dt, rectify=False),
+        "drag_work_j": thrust_work(power.p_drag[lap], dt, rectify=False),
+        "thrust_work_nd": work_j / params.norm_constant,
         "mean_cot": float(np.nanmean(power.cot[lap]))
         if np.isfinite(power.cot[lap]).any() else float("nan"),
         "transient_s": phase_s(TRANSIENT),
@@ -406,7 +410,7 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
     for key, mask in class_masks.items():
         if mask.any():
             v = states.v[lap][mask]
-            p = power.p_thrust[lap][mask]
+            p = p_thrust[mask]
             cot = power.cot[lap][mask]
             metrics[f"{key}_mean_speed_ms"] = float(v.mean())
             metrics[f"{key}_mean_speed_bl"] = float(v.mean() / params.length)

@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import TagSeries
-from .localization import Track
+from .ingest import CSV_COLUMNS, TagSeries
 from .params import AnimalParams, get_animal
 
 MAG_INCLINATION = math.radians(40.0)
@@ -520,22 +519,6 @@ def simulate(scenario: LapScenario) -> tuple[GroundTruth, TagSeries]:
     return truth, synthesize_tag(truth)
 
 
-def ellipse_track(a: float, b: float, n: int, dt: float,
-                  speed: float = 1.0) -> tuple[Track, np.ndarray]:
-    """Constant-parameter-rate ellipse with its analytic radius channel.
-
-    A curvature-estimator stress fixture: radius varies continuously
-    between ``b^2/a`` and ``a^2/b`` along the path.
-    """
-    tau = np.arange(n) * dt * speed
-    x = a * np.cos(tau)
-    y = b * np.sin(tau)
-    num = (a ** 2 * np.sin(tau) ** 2 + b ** 2 * np.cos(tau) ** 2) ** 1.5
-    radius_true = num / (a * b)
-    track = Track(t=np.arange(n) * dt, x=x, y=y)
-    return track, radius_true
-
-
 # Preset trials approximating each study animal's observed lap style
 # (cruise/corner speeds, cornering radius, accelerations, glide length).
 _PRESETS = {
@@ -564,9 +547,6 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-CSV_HEADER = ("t", "ax", "ay", "az", "gx", "gy", "gz",
-              "mx", "my", "mz", "depth", "speed", "temp")
-
 TRUTH_COLUMNS = ("t", "x", "y", "v_meas", "v_xy", "psi", "theta",
                  "depth", "a_t", "omega", "a_n")
 
@@ -590,11 +570,9 @@ def write_tag_csv(tag: TagSeries, path: str | Path) -> None:
         row = rows.setdefault(key, {"t": _fmt(t)})
         row["depth"] = _fmt(tag.depth[i])
         row["speed"] = _fmt(tag.speed[i])
-        if tag.temp is not None:
-            row["temp"] = _fmt(tag.temp[i])
 
     with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_HEADER))
+        writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
         writer.writeheader()
         for key in sorted(rows):
             writer.writerow(rows[key])

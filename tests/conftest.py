@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from swimlap import LapScenario, get_animal, simulate
+from swimlap.params import get_animal
 from swimlap.pipeline import RunConfig, analyze_trial
+from swimlap.simulator import LapScenario, preset_scenario, simulate
 
 
 def make_config(animal, **kwargs) -> RunConfig:
@@ -23,8 +24,6 @@ def default_lap():
 @pytest.fixture(scope="session")
 def preset_trials():
     """Analyzed 8-lap trials for the three study-animal presets."""
-    from swimlap import preset_scenario
-
     out = {}
     for name in ("TT01", "TT02", "TT03"):
         scenario = preset_scenario(name)

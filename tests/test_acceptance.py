@@ -8,17 +8,13 @@ import time
 
 import numpy as np
 
-from swimlap import (
-    AnimalParams,
-    LapScenario,
-    fit_power_law,
-    get_animal,
-    simulate,
-)
 from swimlap.cli import main
+from swimlap.energetics import fit_power_law
 from swimlap.localization import Track, curvature_radius
+from swimlap.params import AnimalParams, get_animal
 from swimlap.pipeline import analyze_trial
 from swimlap.segmentation import pct_lap_time
+from swimlap.simulator import LapScenario, preset_scenario, simulate
 
 from conftest import make_config
 
@@ -122,7 +118,7 @@ def test_criterion_4_energetics_equilibrium():
 
 def test_criterion_5_power_law_fit_recovery():
     v = np.linspace(0.5, 2.5, 40)
-    fit = fit_power_law(v, 0.0347 * v ** 2.08, nondimensional=True)
+    fit = fit_power_law(v, 0.0347 * v ** 2.08)
     coeff_err = abs(fit.coeff - 0.0347)
     exp_err = abs(fit.exponent - 2.08)
     ok_clean = coeff_err < 1e-6 and exp_err < 1e-6
@@ -172,8 +168,6 @@ def test_criterion_7_phase_work_accounting(preset_trials):
 
 
 def test_criterion_8_paper_scale_plausibility():
-    from swimlap import preset_scenario
-
     t0 = time.perf_counter()
     trials = {}
     for name in ("TT01", "TT02", "TT03"):

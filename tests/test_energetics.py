@@ -3,14 +3,9 @@ import pytest
 
 from swimlap import get_animal
 from swimlap.energetics import (
-    DEFAULT_GAMMA_TABLE,
-    UndefinedCOTError,
-    cost_of_transport,
-    cot_curve_minimum,
+    V_MIN_COT,
     drag_force,
-    drag_work,
     fit_power_law,
-    nondimensionalize,
     thrust_power,
     thrust_work,
     wave_drag_factor,
@@ -28,6 +23,15 @@ def eq8_reference(v, a_t, params, gamma=1.0):
     re = v * params.length / params.nu
     cd = 16.99 * re ** -0.47
     return m_eff * a_t * v + 0.5 * params.rho * area * cd * gamma * v ** 3
+
+
+def at_power(p_thrust, v, params, depth=10.0):
+    """Single-sample series whose tangential acceleration makes the thrust
+    power exactly ``p_thrust`` (up to rounding) at speed ``v``."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    a_t = (p_thrust / v + drag_force(v, depth, params)) / params.effective_mass
+    return thrust_power(np.zeros(len(v)), v, a_t, np.full(len(v), depth),
+                        params)
 
 
 class TestWaveDrag:
@@ -141,32 +145,38 @@ class TestThrustPower:
 
 
 class TestCostOfTransport:
+    """COT as ``thrust_power`` computes it, against hand-checked values."""
+
     def test_resting_only(self):
-        cot = cost_of_transport(0.0, 1.0, TT01)
-        assert cot == pytest.approx(347.9 / 156.2, rel=1e-12)
-        assert cot == pytest.approx(2.227, abs=5e-4)
+        # Deceleration that exactly cancels drag: no thrust, resting cost.
+        ps = at_power(0.0, 1.0, TT01)
+        assert ps.p_thrust[0] == pytest.approx(0.0, abs=1e-9)
+        assert ps.cot[0] == pytest.approx(347.9 / 156.2, rel=1e-12)
+        assert ps.cot[0] == pytest.approx(2.227, abs=5e-4)
 
     def test_steady_2ms(self):
         p = eq8_reference(2.0, 0.0, TT01)
-        cot = cost_of_transport(p, 2.0, TT01)
+        ps = thrust_power(np.zeros(1), np.full(1, 2.0), np.zeros(1),
+                          np.full(1, 10.0), TT01)
         expected = (p / (0.25 * 0.85) + 347.9) / (156.2 * 2.0)
-        assert cot == pytest.approx(expected, rel=1e-12)
-        assert cot == pytest.approx(2.83, abs=0.01)
+        assert ps.cot[0] == pytest.approx(expected, rel=1e-12)
+        assert ps.cot[0] == pytest.approx(2.83, abs=0.01)
 
     def test_undefined_below_guard(self):
-        with pytest.raises(UndefinedCOTError, match="undefined-COT"):
-            cost_of_transport(100.0, 1e-6, TT01)
-
-    def test_eta_sp_hook(self):
-        base = cost_of_transport(100.0, 2.0, TT01)
-        hooked = cost_of_transport(100.0, 2.0, TT01,
-                                   eta_sp_fn=lambda v: 0.85)
-        assert hooked == base
+        # NaN at and below the guard speed, finite just above it; the
+        # guard is a parameter.
+        v = np.array([1e-6, V_MIN_COT, 1.01 * V_MIN_COT])
+        ps = thrust_power(np.zeros(3), v, np.zeros(3), np.full(3, 10.0), TT01)
+        assert np.isnan(ps.cot[:2]).all() and np.isfinite(ps.cot[2])
+        ps = thrust_power(np.zeros(3), v, np.zeros(3), np.full(3, 10.0), TT01,
+                          v_min_cot=1.0)
+        assert np.isnan(ps.cot).all()
 
     def test_decreasing_in_v_at_fixed_power(self):
         v = np.linspace(0.5, 5.0, 40)
-        cots = [cost_of_transport(200.0, vi, TT03) for vi in v]
-        assert np.all(np.diff(cots) < 0.0)
+        ps = at_power(200.0, v, TT03)
+        assert np.allclose(ps.p_thrust, 200.0, rtol=1e-12)
+        assert np.all(np.diff(ps.cot) < 0.0)
 
 
 class TestNondimensionalize:
@@ -176,12 +186,13 @@ class TestNondimensionalize:
         assert params.norm_constant == pytest.approx(expected, rel=2e-3)
 
     def test_zero(self):
-        assert nondimensionalize(0.0, TT01) == 0.0
+        assert at_power(0.0, 1.0, TT01).p_thrust_nd[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_roundtrip(self):
-        value = 321.5
-        nd = nondimensionalize(value, TT02)
-        assert nd * TT02.norm_constant == pytest.approx(value, rel=1e-12)
+        ps = at_power(321.5, 2.0, TT02)
+        assert ps.p_thrust_nd[0] * TT02.norm_constant == pytest.approx(
+            321.5, rel=1e-12)
 
 
 class TestWork:
@@ -204,7 +215,9 @@ class TestWork:
 
     def test_drag_work_nonpositive(self, preset_trials):
         _, _, _, result = preset_trials["TT01"]
-        assert drag_work(result.power.p_drag, 0.2) <= 0.0
+        assert thrust_work(result.power.p_drag, 0.2, rectify=False) <= 0.0
+        for m in result.laps:
+            assert m["drag_work_j"] <= 0.0
 
     def test_empty_window_raises(self):
         with pytest.raises(ValueError, match="empty"):
@@ -225,7 +238,7 @@ class TestFitPowerLaw:
         # Noise-free samples of the published active-fluking fit.
         v = np.linspace(0.5, 2.5, 30)
         p = 0.0347 * v ** 2.08
-        fit = fit_power_law(v, p, nondimensional=True)
+        fit = fit_power_law(v, p)
         assert fit.coeff == pytest.approx(0.0347, abs=1e-6)
         assert fit.exponent == pytest.approx(2.08, abs=1e-6)
 
@@ -281,9 +294,10 @@ class TestFitPowerLaw:
 class TestCotCurve:
     @pytest.mark.parametrize("params", [TT01, TT02, TT03])
     def test_interior_minimum_exists(self, params):
-        # Predicted COT with a fitted power law is U-shaped in speed.
-        v = np.linspace(0.5, 6.0, 40)
-        p = 20.0 * v ** 2.4
-        fit = fit_power_law(v, p)
-        v_min = cot_curve_minimum(fit, params, v_max=8.0)
-        assert 0.0 < v_min < 8.0
+        # Steady-swimming COT is U-shaped in speed: resting cost dominates
+        # slow swimming, drag power fast swimming.
+        v = np.linspace(0.1, 8.0, 400)
+        ps = thrust_power(np.zeros(len(v)), v, np.zeros(len(v)),
+                          np.full(len(v), 10.0), params)
+        k = int(np.argmin(ps.cot))
+        assert 0 < k < len(v) - 1

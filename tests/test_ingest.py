@@ -33,7 +33,6 @@ class TestParse:
         assert tag.n_imu == 3
         assert tag.n_slow == 3
         assert tag.mag is not None
-        assert tag.temp is not None and tag.temp[0] == 21.0
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
         rows = [f"{t},0,0,9.81,0,0,0,1,0,0,1.0,2.0," for t in (0.0, 0.2, 0.2)]
@@ -78,6 +77,17 @@ class TestParse:
             tag = parse_tag_csv(write_rows(tmp_path / "a.csv", rows))
         assert tag.n_imu == 2
         assert tag.flagged_rows == [3]
+
+    def test_temp_cells_never_parsed(self, tmp_path):
+        # The temperature column is accepted but unused, so a garbled
+        # cell there must not drop an otherwise valid row.
+        rows = ["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,21",
+                "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,n/a",
+                "0.4,0,0,9.81,0,0,0,1,0,0,1.0,2.0,"]
+        tag = parse_tag_csv(write_rows(tmp_path / "a.csv", rows))
+        assert tag.n_imu == 3
+        assert tag.n_slow == 3
+        assert tag.flagged_rows == []
 
     def test_schema_mapping(self, tmp_path):
         header = "time,AX,ay,az,gx,gy,gz,mx,my,mz,depth,speed,temp"

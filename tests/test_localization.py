@@ -15,7 +15,21 @@ from swimlap.localization import (
     dead_reckon,
     fit_circle,
 )
-from swimlap.simulator import ellipse_track
+
+
+@pytest.fixture
+def ellipse():
+    """6 m x 3 m ellipse at a constant parameter rate of 1 rad/s, sampled
+    every 0.02 s, with its analytic radius channel.
+
+    A curvature-estimator stress fixture: radius varies continuously
+    between ``b^2/a`` and ``a^2/b`` along the path.
+    """
+    a, b, dt = 6.0, 3.0, 0.02
+    tau = np.arange(300) * dt
+    num = (a ** 2 * np.sin(tau) ** 2 + b ** 2 * np.cos(tau) ** 2) ** 1.5
+    track = Track(t=tau, x=a * np.cos(tau), y=b * np.sin(tau))
+    return track, num / (a * b)
 
 
 def state_from(v, yaw, n=None, dt=0.2):
@@ -129,8 +143,8 @@ class TestCurvature:
             errs[dt] = np.max(np.abs(r - 1.5))
         assert errs[0.2] / errs[0.1] == pytest.approx(4.0, rel=0.15)
 
-    def test_ellipse_stress(self):
-        track, r_true = ellipse_track(a=6.0, b=3.0, n=300, dt=0.02)
+    def test_ellipse_stress(self, ellipse):
+        track, r_true = ellipse
         r_est = curvature_radius(track, 0.02)
         rel = np.abs(r_est[1:-1] - r_true[1:-1]) / r_true[1:-1]
         assert np.max(rel) < 0.01

@@ -6,11 +6,26 @@ import pytest
 import yaml
 
 from swimlap.cli import main
+from swimlap.ingest import local_to_latlon
 from swimlap.pipeline import RunConfig, fit_summary
+
+LAGOON_ORIGIN = (21.27, -157.77)
 
 
 def read(path: Path) -> str:
     return path.read_text()
+
+
+def write_lagoon(path: Path, corners) -> Path:
+    """GeoJSON polygon through local (x, y) ``corners`` about LAGOON_ORIGIN."""
+    ring = []
+    for dx, dy in [*corners, corners[0]]:
+        lat, lon = local_to_latlon(dx, dy, LAGOON_ORIGIN)
+        ring.append([float(lon), float(lat)])
+    path.write_text(json.dumps(
+        {"type": "Feature",
+         "geometry": {"type": "Polygon", "coordinates": [ring]}}))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -187,31 +202,42 @@ class TestAnalyzeCommand:
             assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
 
     def test_geojson_with_boundary(self, sim_dir, tmp_path):
-        import json as _json
-
-        from swimlap.ingest import local_to_latlon
-
-        origin = (21.27, -157.77)
-        ring = []
-        for dx, dy in [(0, 0), (45, 0), (45, 25), (0, 25), (0, 0)]:
-            lat, lon = local_to_latlon(dx, dy, origin)
-            ring.append([float(lon), float(lat)])
-        boundary = tmp_path / "lagoon.geojson"
-        boundary.write_text(_json.dumps(
-            {"type": "Feature",
-             "geometry": {"type": "Polygon", "coordinates": [ring]}}))
+        boundary = write_lagoon(tmp_path / "lagoon.geojson",
+                                [(0, 0), (45, 0), (45, 25), (0, 25)])
         cfg = {"inputs": [str(sim_dir / "tag.csv")],
                "output_dir": str(tmp_path / "o"),
                "animal": "TT03",
                "boundary": str(boundary),
-               "origin": list(origin)}
+               "origin": list(LAGOON_ORIGIN)}
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
         assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 0
-        geo = _json.loads(read(tmp_path / "o" / "tag" / "track.geojson"))
+        geo = json.loads(read(tmp_path / "o" / "tag" / "track.geojson"))
         assert geo["geometry"]["type"] == "LineString"
         lon0, lat0 = geo["geometry"]["coordinates"][0]
-        assert abs(lat0 - origin[0]) < 0.01
-        assert abs(lon0 - origin[1]) < 0.01
+        assert abs(lat0 - LAGOON_ORIGIN[0]) < 0.01
+        assert abs(lon0 - LAGOON_ORIGIN[1]) < 0.01
+
+    @pytest.mark.parametrize("station,expected", [
+        (None, (5.0, 3.0)), ([0.0, 0.0], (0.0, 0.0))])
+    def test_station_with_boundary(self, sim_dir, tmp_path, station,
+                                   expected):
+        # Without a station the track starts at the boundary's first
+        # vertex; an explicit one, even (0, 0), is kept.
+        boundary = write_lagoon(tmp_path / "lagoon.geojson",
+                                [(5, 3), (45, 3), (45, 25), (5, 25)])
+        cfg = {"inputs": [str(sim_dir / "tag.csv")],
+               "output_dir": str(tmp_path / "o"), "animal": "TT03",
+               "boundary": str(boundary), "origin": list(LAGOON_ORIGIN)}
+        if station is not None:
+            cfg["station"] = station
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 0
+        manifest = json.loads(read(tmp_path / "o" / "manifest.json"))
+        assert manifest["config"]["station"] == pytest.approx(expected,
+                                                              abs=1e-6)
+        first = read(tmp_path / "o" / "tag" / "track.csv").splitlines()[1]
+        x0, y0 = (float(c) for c in first.split(",")[1:3])
+        assert (x0, y0) == pytest.approx(expected, abs=1e-6)
 
 
 class TestConfigHash:
@@ -289,6 +315,20 @@ class TestReportCommand:
 
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
+
+    def test_aligned_tracks_hold_lap_windows(self, run_dir):
+        # Each corner-aligned lap holds the lap's half-open sample window
+        # [t_start, t_end), duration_s / dt samples.
+        main(["report", "--run-dir", str(run_dir)])
+        import csv
+
+        with (run_dir / "tag" / "laps.csv").open() as fh:
+            laps = list(csv.DictReader(fh))
+        with (run_dir / "report" / "corner_aligned_tracks.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for lap in laps:
+            n = sum(1 for r in rows if r["lap"] == lap["lap"])
+            assert n == round(float(lap["duration_s"]) / 0.2), lap["lap"]
 
     def test_work_partition_identity(self, run_dir):
         main(["report", "--run-dir", str(run_dir)])

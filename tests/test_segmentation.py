@@ -1,3 +1,6 @@
+from dataclasses import fields, replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +9,17 @@ from hypothesis import strategies as st
 from swimlap import get_animal
 from swimlap.ingest import MasterTimeline
 from swimlap.kinematics import compute_kinematics
+from swimlap.localization import Track, fit_circle
 from swimlap.segmentation import (
     CONSISTENT,
     GLIDE,
     REST,
     TRANSIENT,
     LapEvents,
-    SegmentationConfig,
+    _runs,
+    _true_runs,
     classify_phases,
+    corner_circle_fits,
     detect_laps,
     fluking_mask,
     lap_metrics,
@@ -70,6 +76,27 @@ class TestPctLapTime:
             pct_lap_time(1.0, 0.0, 30.0)
         with pytest.raises(ValueError, match="degenerate"):
             pct_lap_time(1.0, 30.0, 30.0)
+
+
+def loop_runs(values):
+    """Reference: [start, stop) bounds of each run of equal values."""
+    runs, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            runs.append((start, i))
+            start = i
+    return runs
+
+
+class TestRuns:
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_match_loop_reference(self, values):
+        seg = np.array(values, dtype=np.int8)
+        assert _runs(seg) == loop_runs(seg)
+        mask = seg >= 2
+        assert _true_runs(mask) == [(a, b) for a, b in loop_runs(mask)
+                                    if mask[a]]
 
 
 def synthetic_state(v, pitch_amp=np.radians(10.0), fluke_hz=1.5,
@@ -202,8 +229,6 @@ class TestClassifyPhases:
 
 class TestCornerCircles:
     def test_fit_windows_at_lap_fractions(self, default_lap):
-        from swimlap.segmentation import corner_circle_fits
-
         scenario, _, _, result = default_lap
         ev = result.events[0]
         fits = corner_circle_fits(result.track, result.kin.t, ev)
@@ -309,3 +334,64 @@ class TestLapMetrics:
             abs=0.15)
         assert m["mean_cot"] > 0.0
         assert m["thrust_work_j"] >= m["thrust_work_signed_j"]
+
+
+def head(series, n):
+    """``series`` with every per-sample array cut to its first n samples."""
+    return replace(series, **{
+        f.name: getattr(series, f.name)[:n] for f in fields(series)
+        if isinstance(getattr(series, f.name), np.ndarray)})
+
+
+class TestLapWindow:
+    """Every per-lap consumer reads exactly the samples ``ev.window``."""
+
+    @given(name=st.sampled_from(["TT01", "TT02", "TT03"]),
+           lap=st.integers(0, 7),
+           cut=st.one_of(st.none(), st.floats(0.6, 0.95)))
+    @settings(max_examples=30, deadline=None)
+    def test_consumers_share_the_window(self, preset_trials, name, lap, cut):
+        scenario, _, _, result = preset_trials[name]
+        kin, power, track = result.kin, result.power, result.track
+        if cut is not None:
+            # Recording stops mid-lap: the last lap runs to the end.
+            ev = result.events[lap]
+            n = ev.start_idx + int(cut * (ev.end_idx - ev.start_idx))
+            kin, power, track = (head(x, n) for x in (kin, power, track))
+        events = detect_laps(kin)
+        labels = classify_phases(kin, events)
+        if cut is not None:
+            assert len(events) == lap + 1
+            assert events[-1].end_idx == len(kin)
+
+        # The sample index as a channel shows which samples were read.
+        idx = np.arange(len(kin), dtype=float)
+        ramp = replace(power, p_thrust=idx)
+        parabola = Track(t=kin.t, x=idx, y=idx ** 2)
+        in_lap = np.zeros(len(kin), dtype=bool)
+        for ev in events:
+            window = idx[ev.window]
+            t = kin.t[ev.window]
+            in_lap[ev.window] = True
+            assert ev.duration == pytest.approx(len(t) * kin.dt, abs=1e-9)
+            assert t[0] == ev.t_s < ev.turn_start
+            assert ev.turn_end < t[-1] < ev.t_e
+
+            m = lap_metrics(kin, ramp, track, ev, labels, scenario.animal)
+            assert m["peak_power_w"] == window[-1]
+            assert m["mean_power_w"] == pytest.approx(window.mean())
+
+            norm = normalize_lap({"i": idx}, kin.t, ev)
+            assert norm.channels["i"][0] == window[0]
+            assert norm.channels["i"][-1] == window[-1]
+
+            seen = []
+            with mock.patch("swimlap.segmentation.fit_circle",
+                            side_effect=lambda pts: seen.append(pts)
+                            or fit_circle(pts)):
+                # One percentage window spanning the whole lap.
+                corner_circle_fits(parabola, kin.t, ev, fractions=(50.0,),
+                                   width_pct=200.0)
+            xs = np.concatenate(seen)[:, 0]
+            assert xs.min() == window[0] and xs.max() == window[-1]
+        assert np.array_equal(labels != REST, in_lap)

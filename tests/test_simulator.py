@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from swimlap import (
+from swimlap.energetics import thrust_power, thrust_work
+from swimlap.params import get_animal
+from swimlap.pipeline import analyze_trial
+from swimlap.simulator import (
     LapScenario,
     NoiseSpec,
+    ScenarioError,
+    build_lap_phases,
     generate_truth,
-    get_animal,
     preset_scenario,
     simulate,
     synthesize_tag,
+    write_tag_csv,
 )
-from swimlap.energetics import drag_work, thrust_power, thrust_work
-from swimlap.pipeline import analyze_trial
-from swimlap.simulator import ScenarioError, build_lap_phases, write_tag_csv
 
 from conftest import make_config
 
@@ -180,8 +182,8 @@ class TestClosedLoop:
             (p_true.p_thrust[sel].max(), p_pipe.p_thrust[sel].max()),
             (p_true.p_thrust[sel].mean(), p_pipe.p_thrust[sel].mean()),
             (np.nanmean(p_true.cot[sel]), np.nanmean(p_pipe.cot[sel])),
-            (drag_work(p_true.p_drag[sel], 0.2),
-             drag_work(p_pipe.p_drag[sel], 0.2)),
+            (thrust_work(p_true.p_drag[sel], 0.2, rectify=False),
+             thrust_work(p_pipe.p_drag[sel], 0.2, rectify=False)),
         ]
         for truth_val, pipe_val in pairs:
             assert abs(pipe_val - truth_val) / abs(truth_val) < 0.05
