@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .params import AnimalParams, get_animal
-from .pipeline import EMIT_CHOICES, RunConfig, run_analyze, run_report
+from .pipeline import RunConfig, run_analyze, run_report
 from .simulator import (
     LapScenario,
     NoiseSpec,
@@ -98,7 +98,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "output_dir": args.output_dir,
         "animal": args.animal,
         "jobs": args.jobs,
-        "emit": tuple(args.emit.split(",")) if args.emit else None,
     }
     try:
         if args.config is not None:
@@ -167,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--output-dir")
     p_an.add_argument("--animal", help="animal preset name (TT01/TT02/TT03)")
     p_an.add_argument("--jobs", type=int)
-    p_an.add_argument("--emit",
-                      help=f"comma-separated subset of {','.join(EMIT_CHOICES)}")
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rep = sub.add_parser("report", help="aggregate a completed run")

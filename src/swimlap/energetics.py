@@ -140,9 +140,6 @@ class PowerLawFit:
     exponent: float
     rms: float
 
-    def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
-        return self.coeff * np.asarray(v, dtype=float) ** self.exponent
-
 
 def fit_power_law(v: np.ndarray, p: np.ndarray,
                   max_iter: int = 200, tol: float = 1e-14) -> PowerLawFit:

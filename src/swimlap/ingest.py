@@ -1,5 +1,8 @@
 """Raw tag-channel ingestion: CSV parsing, resampling, smoothing, geodesy.
 
+This module also holds the one CSV table codec (:func:`write_table`,
+:func:`read_table`) and number format (:func:`fmt`) of every artifact.
+
 The tag records two native rates: inertial channels (accelerometer,
 gyroscope, magnetometer) at nominally 50 Hz and environmental channels
 (depth, speed) at nominally 5 Hz. Parsing keeps both rates; all
@@ -12,6 +15,7 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,6 +201,34 @@ def parse_tag_csv(path: str | Path,
     )
 
 
+def fmt(value: float) -> str:
+    """The number format of every artifact: 9 significant digits."""
+    return f"{float(value):.9g}"
+
+
+def write_table(path: str | Path, columns: dict[str, Iterable]) -> None:
+    """Write ``columns`` (name -> cells, one per row) as a CSV table.
+
+    Text and integer cells are written as they are, every other number
+    with :func:`fmt`. Rows are formatted one at a time as they stream to
+    the file.
+    """
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(
+            [cell if isinstance(cell, (str, int)) else fmt(cell)
+             for cell in row]
+            for row in zip(*columns.values()))
+
+
+def read_table(path: str | Path) -> dict[str, list[str]]:
+    """Read a table written by :func:`write_table`: name -> text cells."""
+    with Path(path).open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
 def master_timeline(tag: TagSeries, dt: float = 0.2) -> MasterTimeline:
     """Build the analysis timeline from the slow channels of ``tag``.
 
@@ -328,18 +360,25 @@ class LagoonBoundary:
     @classmethod
     def from_geojson(cls, path: str | Path,
                      origin: tuple[float, float] | None = None) -> "LagoonBoundary":
-        """Load a WGS-84 GeoJSON Polygon; origin defaults to its first vertex."""
+        """Load a WGS-84 GeoJSON Polygon; origin defaults to its first vertex.
+
+        Raises ValueError with a one-line reason for malformed files.
+        """
         data = json.loads(Path(path).read_text())
-        geom = data.get("geometry", data)
-        if geom.get("type") != "Polygon":
-            raise ValueError("boundary file must contain a Polygon")
-        ring = geom["coordinates"][0]
-        lon = np.array([p[0] for p in ring], dtype=float)
-        lat = np.array([p[1] for p in ring], dtype=float)
+        geom = data.get("geometry", data) if isinstance(data, dict) else None
+        if not isinstance(geom, dict) or geom.get("type") != "Polygon":
+            raise ValueError(f"boundary file {path} must contain a Polygon")
+        try:
+            ring = geom["coordinates"][0]
+            lon = np.array([p[0] for p in ring], dtype=float)
+            lat = np.array([p[1] for p in ring], dtype=float)
+            if origin is None:
+                origin = (float(lat[0]), float(lon[0]))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"boundary file {path}: Polygon has no valid "
+                             f"coordinate ring") from exc
         if len(ring) > 1 and ring[0] == ring[-1]:
             lon, lat = lon[:-1], lat[:-1]
-        if origin is None:
-            origin = (float(lat[0]), float(lon[0]))
         x, y = latlon_to_local(lat, lon, origin)
         return cls(vertices=np.column_stack([x, y]), origin=origin)
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import local_to_latlon
+from .ingest import fmt, local_to_latlon, write_table
 from .kinematics import KinematicState
 
 # Cross-term magnitudes below this (m^2/s^3) count as straight-line motion.
@@ -154,13 +153,9 @@ def align_at_corner(tracks: list[Track], corner_indices: list[int]) -> list[Trac
 
 
 def track_to_csv(track: Track, path: str | Path) -> None:
-    """Write t, x, y, R rows with 9-significant-digit floats."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "R"])
-        for i in range(len(track)):
-            writer.writerow([f"{track.t[i]:.9g}", f"{track.x[i]:.9g}",
-                             f"{track.y[i]:.9g}", f"{track.radius[i]:.9g}"])
+    """Write t, x, y, R rows."""
+    write_table(path, {"t": track.t, "x": track.x, "y": track.y,
+                       "R": track.radius})
 
 
 def track_to_geojson(track: Track, path: str | Path,
@@ -173,7 +168,7 @@ def track_to_geojson(track: Track, path: str | Path,
                        "t_end": round(float(track.t[-1]), 6)},
         "geometry": {
             "type": "LineString",
-            "coordinates": [[float(f"{lo:.9g}"), float(f"{la:.9g}")]
+            "coordinates": [[float(fmt(lo)), float(fmt(la))]
                             for lo, la in zip(lon, lat)],
         },
     }

@@ -3,19 +3,20 @@
 A run processes one or more tag CSVs (trials) with a shared configuration.
 Per-trial artifacts land in ``<output_dir>/<trial>/``; a run manifest
 records inputs, the resolved configuration and its hash, and per-trial
-status. All numeric output uses 9 significant digits with fixed row
-ordering so identical runs produce identical bytes.
+status. Every table goes through :func:`swimlap.ingest.write_table`, so
+all numeric output uses 9 significant digits with fixed row ordering and
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,9 @@ from .ingest import (
     TagSeries,
     master_timeline,
     parse_tag_csv,
+    read_table,
     resample_linear,
+    write_table,
 )
 from .kinematics import SMOOTH_WINDOW_S, KinematicState, compute_kinematics
 from .localization import (
@@ -57,15 +60,17 @@ from .segmentation import (
     normalize_lap,
 )
 
-EMIT_CHOICES = ("tracks", "laps", "energetics", "normalized", "fits")
-
 NORMALIZED_CHANNELS = ("v", "a_t", "a_n", "depth", "p_thrust", "cot", "x", "y")
 
 FIT_CLASSES = ("af", "cs", "trans")
 
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.9g}"
+# Per-lap columns of laps.csv that the report's phase-work table copies,
+# and the per-class statistics (``<class>_<stat>``) of its power table.
+WORK_COLUMNS = ("work_transient_j", "work_consistent_j", "work_glide_j",
+                "work_af_j", "thrust_work_j", "thrust_work_signed_j",
+                "drag_work_j")
+CLASS_STATS = ("mean_speed_ms", "mean_speed_bl", "mean_power_w",
+               "mean_power_nd", "mean_cot")
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,6 @@ class RunConfig:
     origin: tuple[float, float] | None = None
     # None: the boundary's station, or (0, 0) without a boundary.
     station: tuple[float, float] | None = None
-    emit: tuple[str, ...] = EMIT_CHOICES
     jobs: int = 1
     schema: dict | None = None
     dt: float = 0.2
@@ -93,9 +97,6 @@ class RunConfig:
     segmentation: SegmentationConfig = SegmentationConfig()
 
     def __post_init__(self) -> None:
-        for name in self.emit:
-            if name not in EMIT_CHOICES:
-                raise ValueError(f"unknown emit flag {name!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.station is None and self.boundary is None:
@@ -127,8 +128,6 @@ class RunConfig:
         for key in ("origin", "station"):
             if key in data and data[key] is not None:
                 data[key] = tuple(float(v) for v in data[key])
-        if "emit" in data:
-            data["emit"] = tuple(data["emit"])
         return cls(inputs=inputs, animal=animal_params, segmentation=seg,
                    gamma_table=gamma, **data)
 
@@ -205,50 +204,36 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
                        events=events, labels=labels, laps=laps)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_laps_csv(result: TrialResult, path: Path) -> None:
-    if not result.laps:
-        _write_csv(path, ["lap"], [])
-        return
-    keys = ["lap"] + [k for k in result.laps[0] if k != "lap"]
-    rows = [[row["lap"]] + [_fmt(row[k]) for k in keys[1:]]
-            for row in result.laps]
-    _write_csv(path, keys, rows)
+    first = result.laps[0] if result.laps else {}
+    keys = ["lap"] + [k for k in first if k != "lap"]
+    write_table(path, {k: [row[k] for row in result.laps] for k in keys})
 
 
 def write_energetics_csv(result: TrialResult, path: Path) -> None:
     kin, power = result.kin, result.power
-    header = ["t", "v", "a_t", "depth", "gamma", "F_drag", "F_thrust",
-              "P_thrust", "P_t_nd", "COT"]
-    rows = [[_fmt(kin.t[i]), _fmt(kin.v[i]), _fmt(kin.a_t[i]),
-             _fmt(kin.depth[i]), _fmt(power.gamma[i]), _fmt(power.f_drag[i]),
-             _fmt(power.f_thrust[i]), _fmt(power.p_thrust[i]),
-             _fmt(power.p_thrust_nd[i]), _fmt(power.cot[i])]
-            for i in range(len(kin))]
-    _write_csv(path, header, rows)
+    write_table(path, {
+        "t": kin.t, "v": kin.v, "a_t": kin.a_t, "depth": kin.depth,
+        "gamma": power.gamma, "F_drag": power.f_drag,
+        "F_thrust": power.f_thrust, "P_thrust": power.p_thrust,
+        "P_t_nd": power.p_thrust_nd, "COT": power.cot})
 
 
 def write_normalized_csv(result: TrialResult, path: Path, grid_n: int) -> None:
-    header = ["lap", "pct"] + list(NORMALIZED_CHANNELS)
-    rows = []
     channels = {
         "v": result.kin.v, "a_t": result.kin.a_t, "a_n": result.kin.a_n,
         "depth": result.kin.depth, "p_thrust": result.power.p_thrust,
         "cot": result.power.cot, "x": result.track.x, "y": result.track.y,
     }
-    for row in result.laps:
-        ev = result.events[row["lap"]]
-        norm = normalize_lap(channels, result.kin.t, ev, grid_n)
-        for j in range(len(norm.pct)):
-            rows.append([row["lap"], _fmt(norm.pct[j])]
-                        + [_fmt(norm.channels[c][j]) for c in NORMALIZED_CHANNELS])
-    _write_csv(path, header, rows)
+    norms = [normalize_lap(channels, result.kin.t, ev, grid_n)
+             for ev in result.events]
+    columns = {"lap": [lap for lap, norm in enumerate(norms)
+                       for _ in norm.pct],
+               "pct": chain.from_iterable([norm.pct for norm in norms])}
+    for c in NORMALIZED_CHANNELS:
+        # A list, not a generator: ``c`` must be read now, not when written.
+        columns[c] = chain.from_iterable([norm.channels[c] for norm in norms])
+    write_table(path, columns)
 
 
 def fit_summary(laps: list[dict]) -> dict:
@@ -298,29 +283,20 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
     try:
         tag = parse_tag_csv(input_path, cfg.schema)
         result = analyze_trial(tag, cfg, trial_id)
-        artifacts = []
-        if "tracks" in cfg.emit:
-            track_to_csv(result.track, trial_dir / "track.csv")
-            artifacts.append("track.csv")
-            if cfg.origin is not None:
-                track_to_geojson(result.track, trial_dir / "track.geojson",
-                                 cfg.origin)
-                artifacts.append("track.geojson")
-        if "laps" in cfg.emit:
-            write_laps_csv(result, trial_dir / "laps.csv")
-            artifacts.append("laps.csv")
-        if "energetics" in cfg.emit:
-            write_energetics_csv(result, trial_dir / "energetics.csv")
-            artifacts.append("energetics.csv")
-        if "normalized" in cfg.emit:
-            write_normalized_csv(result, trial_dir / "normalized.csv",
-                                 cfg.grid_n)
-            artifacts.append("normalized.csv")
-        if "fits" in cfg.emit:
-            (trial_dir / "fits.json").write_text(
-                json.dumps(fit_summary(result.laps), sort_keys=True,
-                           indent=2) + "\n")
-            artifacts.append("fits.json")
+        track_to_csv(result.track, trial_dir / "track.csv")
+        artifacts = ["track.csv"]
+        if cfg.origin is not None:
+            track_to_geojson(result.track, trial_dir / "track.geojson",
+                             cfg.origin)
+            artifacts.append("track.geojson")
+        write_laps_csv(result, trial_dir / "laps.csv")
+        write_energetics_csv(result, trial_dir / "energetics.csv")
+        write_normalized_csv(result, trial_dir / "normalized.csv", cfg.grid_n)
+        (trial_dir / "fits.json").write_text(
+            json.dumps(fit_summary(result.laps), sort_keys=True,
+                       indent=2) + "\n")
+        artifacts += ["laps.csv", "energetics.csv", "normalized.csv",
+                      "fits.json"]
         status.update({"status": "ok", "n_laps": len(result.laps),
                        "artifacts": artifacts})
     except Exception as exc:  # noqa: BLE001 - per-trial isolation
@@ -367,8 +343,7 @@ def run_analyze(cfg: RunConfig) -> int:
                    "inputs": list(cfg_use.inputs),
                    "output_dir": str(cfg_use.output_dir),
                    "boundary": cfg_use.boundary,
-                   "origin": list(cfg_use.origin) if cfg_use.origin else None,
-                   "emit": list(cfg_use.emit)},
+                   "origin": list(cfg_use.origin) if cfg_use.origin else None},
         "config_hash": cfg_use.config_hash(),
         "inputs": [{"path": str(p), "sha256": _sha256(Path(p))}
                    for p in cfg_use.inputs],
@@ -381,9 +356,30 @@ def run_analyze(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _read_csv_dict(path: Path) -> list[dict]:
-    with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
+def _normalized_mean(norm: dict[str, list[str]]) -> dict[str, list]:
+    """Mean and std over the laps of each ``normalized.csv`` channel.
+
+    One row per lap percentage; non-finite samples are left out, and a
+    percentage without any finite sample gets NaN.
+    """
+    by_pct: dict[str, list[int]] = {}
+    for i, pct in enumerate(norm["pct"]):
+        by_pct.setdefault(pct, []).append(i)
+    pcts = sorted(by_pct, key=float)
+    table: dict[str, list] = {"pct": pcts}
+    for c, cells in norm.items():
+        if c in ("lap", "pct"):
+            continue
+        values = np.array(cells, dtype=float)
+        means, stds = [], []
+        for pct in pcts:
+            vals = values[by_pct[pct]]
+            vals = vals[np.isfinite(vals)]
+            means.append(vals.mean() if len(vals) else math.nan)
+            stds.append(vals.std() if len(vals) else math.nan)
+        table[f"{c}_mean"] = means
+        table[f"{c}_std"] = stds
+    return table
 
 
 def run_report(run_dir: str | Path) -> int:
@@ -398,86 +394,65 @@ def run_report(run_dir: str | Path) -> int:
     if not manifest_path.exists():
         raise FileNotFoundError(f"run manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
-    trials = [s for s in manifest.get("trials", [])]
+    trials = manifest.get("trials", [])
     if not trials:
         raise ValueError("incomplete run manifest: no trials recorded")
 
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 
-    work_rows = []
-    speed_rows = []
-    aligned_rows = []
+    work: dict[str, list] = {c: [] for c in ("trial", "lap", *WORK_COLUMNS)}
+    speed: dict[str, list] = {c: [] for c in ("trial", "lap", "class",
+                                               *CLASS_STATS)}
+    aligned: dict[str, list] = {c: [] for c in ("trial", "lap", "t", "x", "y")}
     for status in trials:
         if status.get("status") != "ok":
             continue
         trial = status["trial"]
         trial_dir = run_dir / trial
-        laps = _read_csv_dict(trial_dir / "laps.csv")
+        laps = read_table(trial_dir / "laps.csv")
+        lap_ids = laps["lap"]
+        if not lap_ids:
+            continue
 
-        norm_path = trial_dir / "normalized.csv"
-        if norm_path.exists() and laps:
-            rows = _read_csv_dict(norm_path)
-            channels = [c for c in rows[0] if c not in ("lap", "pct")]
-            by_pct: dict[str, list[dict]] = {}
-            for r in rows:
-                by_pct.setdefault(r["pct"], []).append(r)
-            out = []
-            for pct in sorted(by_pct, key=float):
-                rec = [pct]
-                for c in channels:
-                    vals = np.array([float(r[c]) for r in by_pct[pct]])
-                    vals = vals[np.isfinite(vals)]
-                    rec.append(_fmt(vals.mean()) if len(vals) else "nan")
-                    rec.append(_fmt(vals.std()) if len(vals) else "nan")
-                out.append(rec)
-            header = ["pct"]
-            for c in channels:
-                header += [f"{c}_mean", f"{c}_std"]
-            _write_csv(report_dir / f"{trial}_normalized_mean.csv", header, out)
+        # Each table's text is freed as soon as its numbers are taken, so the
+        # normalized and track text are never held while laps are aligned.
+        write_table(report_dir / f"{trial}_normalized_mean.csv",
+                    _normalized_mean(read_table(trial_dir / "normalized.csv")))
 
-        for lap in laps:
-            work_rows.append([
-                trial, lap["lap"], lap["work_transient_j"],
-                lap["work_consistent_j"], lap["work_glide_j"],
-                lap["work_af_j"], lap["thrust_work_j"],
-                lap["thrust_work_signed_j"], lap["drag_work_j"]])
+        work["trial"] += [trial] * len(lap_ids)
+        for c in ("lap", *WORK_COLUMNS):
+            work[c] += laps[c]
+        for i, lap_id in enumerate(lap_ids):
             for cls in FIT_CLASSES:
-                speed_rows.append([
-                    trial, lap["lap"], cls,
-                    lap[f"{cls}_mean_speed_ms"], lap[f"{cls}_mean_speed_bl"],
-                    lap[f"{cls}_mean_power_w"], lap[f"{cls}_mean_power_nd"],
-                    lap[f"{cls}_mean_cot"]])
+                speed["trial"].append(trial)
+                speed["lap"].append(lap_id)
+                speed["class"].append(cls)
+                for stat in CLASS_STATS:
+                    speed[stat].append(laps[f"{cls}_{stat}"][i])
 
-        track_path = trial_dir / "track.csv"
-        if track_path.exists() and laps:
-            track_rows = _read_csv_dict(track_path)
-            t = np.array([float(r["t"]) for r in track_rows])
-            x = np.array([float(r["x"]) for r in track_rows])
-            y = np.array([float(r["y"]) for r in track_rows])
-            tracks, corners, keep = [], [], []
-            for lap in laps:
-                # The lap's half-open sample window, as in LapEvents.window.
-                idx = np.flatnonzero((t >= float(lap["t_start"]))
-                                     & (t < float(lap["t_end"])))
-                if len(idx) < 3:
-                    continue
-                ci = int(np.argmin(np.abs(t[idx] - float(lap["t_corner"]))))
-                tracks.append(Track(t=t[idx], x=x[idx], y=y[idx]))
-                corners.append(ci)
-                keep.append(lap["lap"])
-            for lap_id, aligned in zip(keep, align_at_corner(tracks, corners)):
-                for j in range(len(aligned)):
-                    aligned_rows.append([trial, lap_id, _fmt(aligned.t[j]),
-                                         _fmt(aligned.x[j]), _fmt(aligned.y[j])])
+        track = read_table(trial_dir / "track.csv")
+        t, x, y = (np.array(track[c], dtype=float) for c in ("t", "x", "y"))
+        del track
+        tracks, corners, keep = [], [], []
+        for i, lap_id in enumerate(lap_ids):
+            # The lap's half-open sample window, as in LapEvents.window.
+            idx = np.flatnonzero((t >= float(laps["t_start"][i]))
+                                 & (t < float(laps["t_end"][i])))
+            if len(idx) < 3:
+                continue
+            ci = int(np.argmin(np.abs(t[idx] - float(laps["t_corner"][i]))))
+            tracks.append(Track(t=t[idx], x=x[idx], y=y[idx]))
+            corners.append(ci)
+            keep.append(lap_id)
+        for lap_id, lap_track in zip(keep, align_at_corner(tracks, corners)):
+            aligned["trial"] += [trial] * len(lap_track)
+            aligned["lap"] += [lap_id] * len(lap_track)
+            aligned["t"].extend(lap_track.t)
+            aligned["x"].extend(lap_track.x)
+            aligned["y"].extend(lap_track.y)
 
-    _write_csv(report_dir / "phase_work.csv",
-               ["trial", "lap", "work_transient_j", "work_consistent_j",
-                "work_glide_j", "work_af_j", "thrust_work_j",
-                "thrust_work_signed_j", "drag_work_j"], work_rows)
-    _write_csv(report_dir / "power_speed.csv",
-               ["trial", "lap", "class", "mean_speed_ms", "mean_speed_bl",
-                "mean_power_w", "mean_power_nd", "mean_cot"], speed_rows)
-    _write_csv(report_dir / "corner_aligned_tracks.csv",
-               ["trial", "lap", "t", "x", "y"], aligned_rows)
+    write_table(report_dir / "phase_work.csv", work)
+    write_table(report_dir / "power_speed.csv", speed)
+    write_table(report_dir / "corner_aligned_tracks.csv", aligned)
     return 0

@@ -15,14 +15,15 @@ independent seeded Gaussian noise per channel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import CSV_COLUMNS, TagSeries
+from .ingest import (CSV_COLUMNS, IMU_FIELDS, MAG_FIELDS, TagSeries,
+                     write_table)
 from .params import AnimalParams, get_animal
 
 MAG_INCLINATION = math.radians(40.0)
@@ -136,10 +137,10 @@ class GroundTruth:
     a_t: np.ndarray
     omega: np.ndarray
     a_n: np.ndarray
+    scenario: LapScenario
+    phases: list[Phase]
     laps: list[TruthLap] = field(default_factory=list)
     path_length: float = 0.0
-    scenario: LapScenario | None = None
-    phases: list[Phase] = field(default_factory=list)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -436,16 +437,14 @@ def generate_truth(scenario: LapScenario) -> GroundTruth:
     )
 
 
-def synthesize_tag(truth: GroundTruth, scenario: LapScenario | None = None) -> TagSeries:
+def synthesize_tag(truth: GroundTruth) -> TagSeries:
     """Emit the raw tag channels (50 Hz IMU + 5 Hz depth/speed) for a trial.
 
     Deterministic for a fixed scenario seed; noise is independent Gaussian
     per channel.
     """
-    scn = scenario or truth.scenario
-    if scn is None:
-        raise ValueError("scenario required")
-    state = _TrialState(scn, truth.phases or build_lap_phases(scn))
+    scn = truth.scenario
+    state = _TrialState(scn, truth.phases)
     rng = np.random.default_rng(scn.seed)
 
     dt_imu = 1.0 / scn.imu_rate
@@ -543,55 +542,46 @@ def preset_scenario(name: str, **overrides) -> LapScenario:
     return LapScenario(animal=get_animal(name), **kwargs)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 TRUTH_COLUMNS = ("t", "x", "y", "v_meas", "v_xy", "psi", "theta",
                  "depth", "a_t", "omega", "a_n")
 
 
-def write_tag_csv(tag: TagSeries, path: str | Path) -> None:
-    """Write the standard ingest-schema CSV (empty cells off-rate)."""
-    rows = {}
-    for i, t in enumerate(tag.t_imu):
-        key = round(float(t), 6)
-        rows[key] = {"t": _fmt(t),
-                     "ax": _fmt(tag.accel[i, 0]), "ay": _fmt(tag.accel[i, 1]),
-                     "az": _fmt(tag.accel[i, 2]),
-                     "gx": _fmt(tag.gyro[i, 0]), "gy": _fmt(tag.gyro[i, 1]),
-                     "gz": _fmt(tag.gyro[i, 2])}
-        if tag.mag is not None:
-            rows[key].update({"mx": _fmt(tag.mag[i, 0]),
-                              "my": _fmt(tag.mag[i, 1]),
-                              "mz": _fmt(tag.mag[i, 2])})
-    for i, t in enumerate(tag.t_slow):
-        key = round(float(t), 6)
-        row = rows.setdefault(key, {"t": _fmt(t)})
-        row["depth"] = _fmt(tag.depth[i])
-        row["speed"] = _fmt(tag.speed[i])
+def _spread(values: np.ndarray, mask: np.ndarray):
+    """``values`` on the rows where ``mask`` holds, empty cells elsewhere."""
+    cells = iter(values)
+    return (next(cells) if on else "" for on in mask)
 
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-        writer.writeheader()
-        for key in sorted(rows):
-            writer.writerow(rows[key])
+
+def write_tag_csv(tag: TagSeries, path: str | Path) -> None:
+    """Write the standard ingest-schema CSV (empty cells off-rate).
+
+    One row per distinct time (to the microsecond) of either rate, in time
+    order; the ``temp`` column stays empty.
+    """
+    keys_imu = np.round(tag.t_imu, 6)
+    keys_slow = np.round(tag.t_slow, 6)
+    keys = np.union1d(keys_imu, keys_slow)
+    on_imu = np.isin(keys, keys_imu)
+    on_slow = np.isin(keys, keys_slow)
+    t = np.empty(len(keys))
+    t[on_slow] = tag.t_slow
+    t[on_imu] = tag.t_imu
+
+    imu = dict(zip(IMU_FIELDS + MAG_FIELDS,
+                   [*tag.accel.T, *tag.gyro.T,
+                    *(tag.mag.T if tag.mag is not None else ())]))
+    columns = {"t": t, **{n: _spread(v, on_imu) for n, v in imu.items()},
+               "depth": _spread(tag.depth, on_slow),
+               "speed": _spread(tag.speed, on_slow)}
+    write_table(path, {n: columns.get(n, repeat("", len(keys)))
+                       for n in CSV_COLUMNS})
 
 
 def write_truth_csv(truth: GroundTruth, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_COLUMNS)
-        for i in range(len(truth.t)):
-            writer.writerow([_fmt(getattr(truth, c)[i]) for c in TRUTH_COLUMNS])
+    write_table(path, {c: getattr(truth, c) for c in TRUTH_COLUMNS})
 
 
 def write_truth_laps_csv(truth: GroundTruth, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lap", "t_motion_start", "t_apex", "t_motion_end",
-                         "turn_sign"])
-        for lap in truth.laps:
-            writer.writerow([lap.index, _fmt(lap.t_motion_start),
-                             _fmt(lap.t_apex), _fmt(lap.t_motion_end),
-                             _fmt(lap.turn_sign)])
+    write_table(path, {"lap": [lap.index for lap in truth.laps], **{
+        c: [getattr(lap, c) for lap in truth.laps]
+        for c in ("t_motion_start", "t_apex", "t_motion_end", "turn_sign")}})

@@ -15,7 +15,9 @@ from swimlap.ingest import (
     master_timeline,
     moving_average,
     parse_tag_csv,
+    read_table,
     resample_linear,
+    write_table,
 )
 
 FULL_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz,depth,speed,temp"
@@ -55,12 +57,18 @@ class TestParse:
         with pytest.raises(FileNotFoundError):
             parse_tag_csv(tmp_path / "nope.csv")
 
-    def test_two_rates_preserved(self, tmp_path):
+    @pytest.mark.parametrize("with_mag", [True, False],
+                             ids=["mag", "no_mag"])
+    def test_two_rates_preserved(self, tmp_path, with_mag):
+        from dataclasses import replace
+
         from swimlap import LapScenario, get_animal, simulate
         from swimlap.simulator import write_tag_csv
 
         scenario = LapScenario(animal=get_animal("TT01"), n_laps=1)
         _, tag = simulate(scenario)
+        if not with_mag:
+            tag = replace(tag, mag=None)
         path = tmp_path / "sim.csv"
         write_tag_csv(tag, path)
         parsed = parse_tag_csv(path)
@@ -68,6 +76,17 @@ class TestParse:
         assert parsed.n_slow == tag.n_slow
         assert np.allclose(np.diff(parsed.t_imu), 0.02, atol=1e-9)
         assert np.allclose(np.diff(parsed.t_slow), 0.2, atol=1e-9)
+        # 9 significant digits recover every channel to a relative 5e-9.
+        for name in ("t_imu", "accel", "gyro", "t_slow", "depth", "speed"):
+            np.testing.assert_allclose(getattr(parsed, name),
+                                       getattr(tag, name), rtol=1e-8,
+                                       err_msg=name)
+        if with_mag:
+            np.testing.assert_allclose(parsed.mag, tag.mag, rtol=1e-8)
+        else:
+            assert parsed.mag is None
+            cells = read_table(path)
+            assert all(c == "" for n in ("mx", "my", "mz") for c in cells[n])
 
     def test_non_finite_rows_flagged(self, tmp_path):
         rows = ["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
@@ -234,6 +253,29 @@ class TestBoundary:
         b = LagoonBoundary.from_geojson(path, origin)
         assert np.allclose(b.vertices,
                            [(0, 0), (40, 0), (40, 20), (0, 20)], atol=1e-6)
+
+
+class TestTable:
+    def test_write_table_bytes(self, tmp_path):
+        # Integers and text pass through; every other number is written
+        # with 9 significant digits, non-finite values included.
+        path = tmp_path / "table.csv"
+        write_table(path, {
+            "lap": [0, 1, 2, 3, 4, 12345678901],
+            "trial": ["TT01"] * 6,
+            "value": np.array([math.nan, math.inf, -math.inf, -0.0, 1e-10,
+                               123456789012.5])})
+        assert path.read_bytes() == (b"lap,trial,value\r\n"
+                                     b"0,TT01,nan\r\n"
+                                     b"1,TT01,inf\r\n"
+                                     b"2,TT01,-inf\r\n"
+                                     b"3,TT01,-0\r\n"
+                                     b"4,TT01,1e-10\r\n"
+                                     b"12345678901,TT01,1.23456789e+11\r\n")
+        assert read_table(path) == {
+            "lap": ["0", "1", "2", "3", "4", "12345678901"],
+            "trial": ["TT01"] * 6,
+            "value": ["nan", "inf", "-inf", "-0", "1e-10", "1.23456789e+11"]}
 
 
 class TestMasterTimeline:

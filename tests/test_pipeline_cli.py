@@ -176,17 +176,6 @@ class TestAnalyzeCommand:
         for rel, blob in snapshot.items():
             assert (out / rel).read_bytes() == blob, rel
 
-    def test_emit_subset(self, sim_dir, tmp_path):
-        out = tmp_path / "subset"
-        code = main(["analyze", "--input", str(sim_dir / "tag.csv"),
-                     "--output-dir", str(out), "--animal", "TT03",
-                     "--emit", "tracks,laps"])
-        assert code == 0
-        assert (out / "tag" / "track.csv").exists()
-        assert (out / "tag" / "laps.csv").exists()
-        assert not (out / "tag" / "energetics.csv").exists()
-        assert not (out / "tag" / "fits.json").exists()
-
     def test_jobs_parallel_same_result(self, sim_dir, tmp_path):
         import shutil
 
@@ -216,6 +205,23 @@ class TestAnalyzeCommand:
         lon0, lat0 = geo["geometry"]["coordinates"][0]
         assert abs(lat0 - LAGOON_ORIGIN[0]) < 0.01
         assert abs(lon0 - LAGOON_ORIGIN[1]) < 0.01
+
+    @pytest.mark.parametrize("content", [
+        {"type": "Polygon"}, [[-157.77, 21.27]],
+        {"type": "Polygon", "coordinates": [[]]}],
+        ids=["polygon_without_coordinates", "top_level_array", "empty_ring"])
+    def test_malformed_boundary_exit_2(self, sim_dir, tmp_path, capsys,
+                                       content):
+        boundary = tmp_path / "lagoon.geojson"
+        boundary.write_text(json.dumps(content))
+        cfg = {"inputs": [str(sim_dir / "tag.csv")],
+               "output_dir": str(tmp_path / "o"), "animal": "TT03",
+               "boundary": str(boundary)}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
     @pytest.mark.parametrize("station,expected", [
         (None, (5.0, 3.0)), ([0.0, 0.0], (0.0, 0.0))])
