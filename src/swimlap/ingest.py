@@ -15,8 +15,10 @@ import csv
 import json
 import math
 import warnings
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +99,6 @@ class TagSeries:
         return len(self.t_slow)
 
 
-def _row_values(row: dict[str, str], names: tuple[str, ...],
-                colmap: dict[str, str]) -> list[str]:
-    return [row.get(colmap[n], "").strip() for n in names]
-
-
 def parse_tag_csv(path: str | Path,
                   schema: dict[str, str] | None = None) -> TagSeries:
     """Parse a tag export CSV into a :class:`TagSeries`.
@@ -110,9 +107,10 @@ def parse_tag_csv(path: str | Path,
     speed``) to the file's column names; canonical names are used
     directly when omitted. A row is an IMU sample when all six
     accelerometer/gyroscope cells are present, and a slow sample when both
-    depth and speed cells are present; one row may be both. Rows with
-    non-finite numeric cells are flagged and excluded. Other columns,
-    such as ``temp``, are never read.
+    depth and speed cells are present; one row may be both. Malformed
+    rows are flagged and excluded: a partly filled channel group, a cell
+    that is not a number, a non-finite value, or a row cut short of a
+    column that is read. Other columns, such as ``temp``, are never read.
     """
     path = Path(path)
     if not path.exists():
@@ -122,66 +120,70 @@ def parse_tag_csv(path: str | Path,
         colmap.update(schema)
 
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for required in ("t",) + IMU_FIELDS + SLOW_FIELDS:
             if colmap[required] not in header:
                 raise IngestError(
                     f"missing column {colmap[required]!r} in {path}")
         has_mag = all(colmap[n] in header for n in MAG_FIELDS)
+        # A repeated column name reads its last column.
+        index = {name: i for i, name in enumerate(header)}
+        read = [index[colmap[n]] for n in ("t",) + IMU_FIELDS
+                + (MAG_FIELDS if has_mag else ()) + SLOW_FIELDS]
+        get_cells = itemgetter(*read)
+        t_idx, width = read[0], 1 + max(read)
+        m = len(read) - 2  # cells[1:7] IMU, cells[7:m] mag, cells[m:] slow
 
-        t_imu, imu_rows = [], []
-        t_slow, slow_rows = [], []
+        # Flat buffers, reshaped once at the end: no Python list per row.
+        t_imu, imu_buf = array("d"), array("d")
+        t_slow, slow_buf = array("d"), array("d")
+        no_mag = [math.nan] * (m - 7)
         flagged: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            t_cell = row.get(colmap["t"], "").strip()
-            if not t_cell:
+        # Blank lines are skipped and not counted.
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                # Cut short of a column that is read; a row without a
+                # time stamp carries nothing, as below.
+                if t_idx >= len(row) or row[t_idx].strip():
+                    flagged.append(lineno)
                 continue
-            imu_cells = _row_values(row, IMU_FIELDS, colmap)
-            mag_cells = _row_values(row, MAG_FIELDS, colmap) if has_mag else []
-            slow_cells = _row_values(row, SLOW_FIELDS, colmap)
+            cells = list(map(str.strip, get_cells(row)))
+            if not cells[0]:
+                continue
+            imu_cells, mag_cells, slow_cells = cells[1:7], cells[7:m], cells[m:]
             # Partially filled channel groups are malformed, not usable data.
-            if any(imu_cells) != all(imu_cells) or \
-                    any(slow_cells) != all(slow_cells) or \
-                    (has_mag and any(mag_cells) != all(mag_cells)):
+            if 0 < imu_cells.count("") < 6 or 0 < slow_cells.count("") < 2 \
+                    or 0 < mag_cells.count("") < len(mag_cells):
                 flagged.append(lineno)
                 continue
             try:
-                t_val = float(t_cell)
-                imu_vals = [float(c) for c in imu_cells] if all(imu_cells) else None
-                mag_vals = ([float(c) for c in mag_cells]
-                            if has_mag and all(mag_cells) else None)
-                slow_vals = ([float(c) for c in slow_cells]
-                             if all(slow_cells) else None)
+                vals = list(map(float, filter(None, cells)))
             except ValueError:
                 flagged.append(lineno)
                 continue
-            row_vals = [t_val] + (imu_vals or []) + (mag_vals or []) + (slow_vals or [])
-            if not all(math.isfinite(v) for v in row_vals):
+            if not all(map(math.isfinite, vals)):
                 flagged.append(lineno)
                 continue
-            if imu_vals is not None:
-                t_imu.append(t_val)
-                if has_mag:
-                    imu_rows.append(imu_vals + (mag_vals or [math.nan] * 3))
-                else:
-                    imu_rows.append(imu_vals)
-            if slow_vals is not None:
-                t_slow.append(t_val)
-                slow_rows.append(slow_vals)
+            # vals: t, then the IMU, mag and slow groups that are present.
+            if imu_cells[0]:
+                t_imu.append(vals[0])
+                imu_buf.extend(vals[1:7])
+                imu_buf.extend(vals[7:10] if mag_cells and mag_cells[0]
+                               else no_mag)
+            if slow_cells[0]:
+                t_slow.append(vals[0])
+                slow_buf.extend(vals[-2:])
 
     if not t_imu and not t_slow:
         raise IngestError(f"empty tag file: {path}")
     if flagged:
         warnings.warn(
-            f"{path}: flagged {len(flagged)} row(s) with non-finite values",
+            f"{path}: flagged {len(flagged)} malformed or non-finite row(s)",
             stacklevel=2)
 
-    imu_width = 9 if has_mag else 6
-    imu = (np.asarray(imu_rows, dtype=float).reshape(len(t_imu), -1)
-           if t_imu else np.zeros((0, imu_width)))
-    slow = (np.asarray(slow_rows, dtype=float).reshape(len(t_slow), -1)
-            if t_slow else np.zeros((0, 2)))
+    imu = np.frombuffer(imu_buf).reshape(len(t_imu), 9 if has_mag else 6)
+    slow = np.frombuffer(slow_buf).reshape(len(t_slow), 2)
     mag = None
     if has_mag and len(t_imu):
         mag = imu[:, 6:9]
@@ -190,11 +192,11 @@ def parse_tag_csv(path: str | Path,
         elif np.isnan(mag).any():
             raise IngestError("magnetometer present on only some IMU rows")
     return TagSeries(
-        t_imu=np.asarray(t_imu, dtype=float),
+        t_imu=np.frombuffer(t_imu),
         accel=imu[:, 0:3],
         gyro=imu[:, 3:6],
         mag=mag,
-        t_slow=np.asarray(t_slow, dtype=float),
+        t_slow=np.frombuffer(t_slow),
         depth=slow[:, 0],
         speed=slow[:, 1],
         flagged_rows=flagged,

@@ -33,6 +33,11 @@ class OrientationSeries:
     yaw: np.ndarray
 
 
+# IMU samples that estimate_orientation converts to Python floats at once.
+# Whole arrays at once would hold about nine times their bytes.
+_BLOCK = 1024
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     norm = math.sqrt(float(np.dot(q, q)))
@@ -41,71 +46,53 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / norm
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate body vector ``v`` into the world frame."""
-    p = np.array([0.0, v[0], v[1], v[2]])
-    return quat_multiply(quat_multiply(q, p), quat_conj(q))[1:]
-
-
 def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Compose q = qz(yaw) * qy(-pitch) * qx(roll) (pitch positive nose-up)."""
-    qz = np.array([math.cos(yaw / 2), 0.0, 0.0, math.sin(yaw / 2)])
-    qy = np.array([math.cos(pitch / 2), 0.0, -math.sin(pitch / 2), 0.0])
-    qx = np.array([math.cos(roll / 2), math.sin(roll / 2), 0.0, 0.0])
-    return quat_multiply(quat_multiply(qz, qy), qx)
+    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
+    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
+    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
+    return np.array([cy * cp * cr - sy * sp * sr,
+                     cy * cp * sr + sy * sp * cr,
+                     sy * cp * sr - cy * sp * cr,
+                     cy * sp * sr + sy * cp * cr])
+
+
+def _euler(w: float, x: float, y: float,
+           z: float) -> tuple[float, float, float]:
+    s = max(-1.0, min(1.0, 2.0 * (x * z - w * y)))
+    return (math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+            math.asin(s),
+            math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)))
 
 
 def quat_to_euler(q: np.ndarray) -> tuple[float, float, float]:
     """Return (roll, pitch, yaw); pitch is clamped at the +-pi/2 gimbal."""
-    w, x, y, z = quat_normalize(q)
-    s = 2.0 * (x * z - w * y)
-    s = max(-1.0, min(1.0, s))
-    pitch = math.asin(s)
-    roll = math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
-    yaw = math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
-    return roll, pitch, yaw
+    return _euler(*quat_normalize(q).tolist())
 
 
-def ahrs_update(q: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
-                mag: np.ndarray | None, beta: float, dt: float) -> np.ndarray:
-    """Advance the attitude quaternion by one IMU sample.
+def _ahrs_step(w: float, x: float, y: float, z: float,
+               gx: float, gy: float, gz: float,
+               ax: float, ay: float, az: float,
+               mag: list[float] | None, beta: float, dt: float
+               ) -> tuple[float, float, float, float]:
+    """One AHRS update on Python floats; ``mag`` is (mx, my, mz) or None.
 
-    gyro in rad/s, accel in m/s^2 (any scale: only its direction is used),
-    mag in any consistent units or None for gyro+accel-only fusion.
-    Returns a unit quaternion.
+    This is the only copy of the filter math: :func:`ahrs_update` and
+    :func:`estimate_orientation` both call it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    a_norm = math.sqrt(accel[0] ** 2 + accel[1] ** 2 + accel[2] ** 2)
+    a_norm = math.sqrt(ax * ax + ay * ay + az * az)
     if a_norm == 0.0:
         raise ValueError("zero-norm accelerometer vector")
-    w, x, y, z = q
-    gx, gy, gz = gyro
 
-    q_dot = 0.5 * np.array([
-        -x * gx - y * gy - z * gz,
-        w * gx + y * gz - z * gy,
-        w * gy - x * gz + z * gx,
-        w * gz + x * gy - y * gx,
-    ])
+    dw = 0.5 * (-x * gx - y * gy - z * gz)
+    dx = 0.5 * (w * gx + y * gz - z * gy)
+    dy = 0.5 * (w * gy - x * gz + z * gx)
+    dz = 0.5 * (w * gz + x * gy - y * gx)
 
     if beta > 0.0:
-        ax, ay, az = accel[0] / a_norm, accel[1] / a_norm, accel[2] / a_norm
+        ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
 
         # Gravity objective: predicted body-frame up minus measurement.
         f1 = 2.0 * (x * z - w * y) - ax
@@ -118,13 +105,20 @@ def ahrs_update(q: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
 
         m_norm = 0.0
         if mag is not None:
-            m_norm = math.sqrt(mag[0] ** 2 + mag[1] ** 2 + mag[2] ** 2)
+            mx, my, mz = mag
+            m_norm = math.sqrt(mx * mx + my * my + mz * mz)
         if m_norm > 0.0:
-            mx, my, mz = mag[0] / m_norm, mag[1] / m_norm, mag[2] / m_norm
+            mx, my, mz = mx / m_norm, my / m_norm, mz / m_norm
             # Earth-field reference: horizontal component along world +x.
-            h = quat_rotate(np.array([w, x, y, z]), np.array([mx, my, mz]))
-            bx = math.sqrt(h[0] ** 2 + h[1] ** 2)
-            bz = h[2]
+            # h = q (0, m) q*, the field rotated into the world frame.
+            pw = -x * mx - y * my - z * mz
+            px = w * mx + y * mz - z * my
+            py = w * my - x * mz + z * mx
+            pz = w * mz + x * my - y * mx
+            hx = -pw * x + px * w - py * z + pz * y
+            hy = -pw * y + px * z + py * w - pz * x
+            bx = math.sqrt(hx * hx + hy * hy)
+            bz = -pw * z - px * y + py * x + pz * w
             # Predicted body-frame field for reference (bx, 0, bz).
             p1 = bx * (1.0 - 2.0 * (y * y + z * z)) + bz * 2.0 * (x * z - w * y) - mx
             p2 = bx * 2.0 * (x * y - w * z) + bz * 2.0 * (w * x + y * z) - my
@@ -139,11 +133,34 @@ def ahrs_update(q: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
             s_z += (-4.0 * bx * z + 2.0 * bz * x) * p1 \
                 + (-2.0 * bx * w + 2.0 * bz * y) * p2 + (2.0 * bx * x) * p3
 
-        s_norm = math.sqrt(s_w ** 2 + s_x ** 2 + s_y ** 2 + s_z ** 2)
+        s_norm = math.sqrt(s_w * s_w + s_x * s_x + s_y * s_y + s_z * s_z)
         if s_norm > 0.0:
-            q_dot -= beta * np.array([s_w, s_x, s_y, s_z]) / s_norm
+            dw -= beta * s_w / s_norm
+            dx -= beta * s_x / s_norm
+            dy -= beta * s_y / s_norm
+            dz -= beta * s_z / s_norm
 
-    return quat_normalize(np.array([w, x, y, z]) + q_dot * dt)
+    w, x, y, z = w + dw * dt, x + dx * dt, y + dy * dt, z + dz * dt
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    if norm == 0.0:
+        raise ValueError("zero-norm quaternion")
+    return w / norm, x / norm, y / norm, z / norm
+
+
+def ahrs_update(q: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
+                mag: np.ndarray | None, beta: float, dt: float) -> np.ndarray:
+    """Advance the attitude quaternion by one IMU sample.
+
+    gyro in rad/s, accel in m/s^2 (any scale: only its direction is used),
+    mag in any consistent units or None for gyro+accel-only fusion.
+    Returns a unit quaternion.
+    """
+    mag = None if mag is None else np.asarray(mag, dtype=float).tolist()
+    return np.array(_ahrs_step(
+        *np.asarray(q, dtype=float).tolist(),
+        *np.asarray(gyro, dtype=float).tolist(),
+        *np.asarray(accel, dtype=float).tolist(),
+        mag, float(beta), float(dt)))
 
 
 def pose_from_measurements(accel: np.ndarray, mag: np.ndarray | None,
@@ -190,23 +207,32 @@ def estimate_orientation(tag: TagSeries, beta: float = 0.1,
     t = tag.t_imu
     mag_series = tag.mag if (use_mag and tag.mag is not None) else None
 
-    mag0 = mag_series[0] if mag_series is not None else None
-    q = euler_to_quat(*pose_from_measurements(tag.accel[0], mag0,
-                                              initial_heading))
+    mag0 = mag_series[0].tolist() if mag_series is not None else None
+    accel0 = tag.accel[0].tolist()
+    w, x, y, z = euler_to_quat(*pose_from_measurements(
+        accel0, mag0, initial_heading)).tolist()
+    beta = float(beta)
     dt0 = float(t[1] - t[0])
     n_settle = int(round(settle_s / dt0)) if beta > 0.0 else 0
     for _ in range(n_settle):
-        q = ahrs_update(q, np.zeros(3), tag.accel[0], mag0, beta, dt0)
+        w, x, y, z = _ahrs_step(w, x, y, z, 0.0, 0.0, 0.0, *accel0, mag0,
+                                beta, dt0)
 
-    pitch = np.empty(n)
-    roll = np.empty(n)
-    yaw = np.empty(n)
-    roll[0], pitch[0], yaw[0] = quat_to_euler(q)
-    for i in range(1, n):
-        dt = float(t[i] - t[i - 1])
-        mag_i = mag_series[i] if mag_series is not None else None
-        q = ahrs_update(q, tag.gyro[i], tag.accel[i], mag_i, beta, dt)
-        roll[i], pitch[i], yaw[i] = quat_to_euler(q)
+    euler = np.empty((n, 3))
+    euler[0] = _euler(w, x, y, z)
+    for i0 in range(1, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        mags = (mag_series[i0:i1].tolist() if mag_series is not None
+                else [None] * (i1 - i0))
+        block = []
+        for (gx, gy, gz), (ax, ay, az), mag, dt in zip(
+                tag.gyro[i0:i1].tolist(), tag.accel[i0:i1].tolist(), mags,
+                np.diff(t[i0 - 1:i1]).tolist()):
+            w, x, y, z = _ahrs_step(w, x, y, z, gx, gy, gz, ax, ay, az, mag,
+                                    beta, dt)
+            block.append(_euler(w, x, y, z))
+        euler[i0:i1] = block
 
+    roll, pitch, yaw = euler.T
     return OrientationSeries(t=t, pitch=pitch, roll=roll,
                              yaw=np.unwrap(yaw))

@@ -33,6 +33,13 @@ def preset_trials():
     return out
 
 
+@pytest.fixture(scope="session")
+def trial_16lap():
+    """Simulated tag of a zero-noise 16-lap TT03 trial (25,213 IMU rows)."""
+    _, tag = simulate(preset_scenario("TT03", n_laps=16))
+    return tag
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,4 +1,9 @@
+import csv
 import math
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swimlap.ingest import (
+    CSV_COLUMNS,
     EARTH_RADIUS_M,
+    IMU_FIELDS,
+    MAG_FIELDS,
+    SLOW_FIELDS,
     IngestError,
     LagoonBoundary,
     MasterTimeline,
+    TagSeries,
     latlon_to_local,
     local_to_latlon,
     master_timeline,
@@ -19,6 +29,7 @@ from swimlap.ingest import (
     resample_linear,
     write_table,
 )
+from swimlap.simulator import write_tag_csv
 
 FULL_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz,depth,speed,temp"
 
@@ -26,6 +37,124 @@ FULL_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz,depth,speed,temp"
 def write_rows(path, rows, header=FULL_HEADER):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
+
+
+def reference_parse(path, schema=None):
+    """The csv.DictReader parser that the single csv.reader pass replaced.
+
+    It raises AttributeError on a row cut short of a column it reads.
+    """
+    colmap = {name: name for name in CSV_COLUMNS}
+    if schema:
+        colmap.update(schema)
+
+    def values(row, names):
+        return [row.get(colmap[n], "").strip() for n in names]
+
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for required in ("t",) + IMU_FIELDS + SLOW_FIELDS:
+            if colmap[required] not in header:
+                raise IngestError(f"missing column {colmap[required]!r}")
+        has_mag = all(colmap[n] in header for n in MAG_FIELDS)
+
+        t_imu, imu_rows = [], []
+        t_slow, slow_rows = [], []
+        flagged = []
+        for lineno, row in enumerate(reader, start=2):
+            t_cell = row.get(colmap["t"], "").strip()
+            if not t_cell:
+                continue
+            imu_cells = values(row, IMU_FIELDS)
+            mag_cells = values(row, MAG_FIELDS) if has_mag else []
+            slow_cells = values(row, SLOW_FIELDS)
+            if any(imu_cells) != all(imu_cells) or \
+                    any(slow_cells) != all(slow_cells) or \
+                    (has_mag and any(mag_cells) != all(mag_cells)):
+                flagged.append(lineno)
+                continue
+            try:
+                t_val = float(t_cell)
+                imu_vals = [float(c) for c in imu_cells] if all(imu_cells) else None
+                mag_vals = ([float(c) for c in mag_cells]
+                            if has_mag and all(mag_cells) else None)
+                slow_vals = ([float(c) for c in slow_cells]
+                             if all(slow_cells) else None)
+            except ValueError:
+                flagged.append(lineno)
+                continue
+            row_vals = [t_val] + (imu_vals or []) + (mag_vals or []) + (slow_vals or [])
+            if not all(math.isfinite(v) for v in row_vals):
+                flagged.append(lineno)
+                continue
+            if imu_vals is not None:
+                t_imu.append(t_val)
+                if has_mag:
+                    imu_rows.append(imu_vals + (mag_vals or [math.nan] * 3))
+                else:
+                    imu_rows.append(imu_vals)
+            if slow_vals is not None:
+                t_slow.append(t_val)
+                slow_rows.append(slow_vals)
+
+    if not t_imu and not t_slow:
+        raise IngestError("empty tag file")
+    imu_width = 9 if has_mag else 6
+    imu = (np.asarray(imu_rows, dtype=float).reshape(len(t_imu), -1)
+           if t_imu else np.zeros((0, imu_width)))
+    slow = (np.asarray(slow_rows, dtype=float).reshape(len(t_slow), -1)
+            if t_slow else np.zeros((0, 2)))
+    mag = None
+    if has_mag and len(t_imu):
+        mag = imu[:, 6:9]
+        if np.isnan(mag).all():
+            mag = None
+        elif np.isnan(mag).any():
+            raise IngestError("magnetometer present on only some IMU rows")
+    return TagSeries(t_imu=np.asarray(t_imu, dtype=float), accel=imu[:, 0:3],
+                     gyro=imu[:, 3:6], mag=mag,
+                     t_slow=np.asarray(t_slow, dtype=float),
+                     depth=slow[:, 0], speed=slow[:, 1], flagged_rows=flagged)
+
+
+def parse_outcome(parse, path):
+    """The arrays and flagged rows a parser returns, or its IngestError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            tag = parse(path)
+        except IngestError as exc:
+            return str(exc).split(":")[0]
+    return {name: getattr(tag, name) for name in
+            ("t_imu", "accel", "gyro", "mag", "t_slow", "depth", "speed",
+             "flagged_rows")}
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got["flagged_rows"] == want["flagged_rows"]
+    for name, value in want.items():
+        if name == "flagged_rows":
+            continue
+        if value is None:
+            assert got[name] is None, name
+        else:
+            assert got[name].shape == value.shape, name
+            assert got[name].tobytes() == value.tobytes(), name
+
+
+# Cells of the Hypothesis rows: numbers, or a mix of numbers with empty
+# and blank cells, partial numbers, text and non-finite values.
+NUMBER = st.floats(0.0, 1e3).map(repr)
+CELL = st.one_of(NUMBER, st.sampled_from(
+    ["", " ", "1.", "-0", "1e", "--1", "x", "n/a", "nan", "inf", "-inf",
+     " 2.5 ", "1e400"]))
+ROW_CELLS = st.one_of(st.lists(NUMBER, min_size=13, max_size=15),
+                      st.lists(CELL, min_size=13, max_size=15))
 
 
 class TestParse:
@@ -96,6 +225,84 @@ class TestParse:
             tag = parse_tag_csv(write_rows(tmp_path / "a.csv", rows))
         assert tag.n_imu == 2
         assert tag.flagged_rows == [3]
+
+    def test_short_row_flagged(self, tmp_path):
+        # Rows cut off, as at the end of a truncated file, are flagged:
+        # also the one cut at a cell boundary, whose IMU and magnetometer
+        # cells are complete, since its last cell may be cut too.
+        rows = ["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+                "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+                "0.4,0,0,9.81,0,0,0,1,0,0,1.0",
+                "0.6,0,0,9.81,0,0,0,1,0,0",
+                "0.8,0,0,9.8"]
+        with pytest.warns(UserWarning, match="flagged 3 malformed"):
+            tag = parse_tag_csv(write_rows(tmp_path / "a.csv", rows))
+        assert tag.n_imu == 2
+        assert tag.n_slow == 2
+        assert tag.flagged_rows == [4, 5, 6]
+
+    def test_matches_reference_on_written_tag(self, tmp_path, trial_16lap):
+        path = tmp_path / "t16.csv"
+        write_tag_csv(trial_16lap, path)
+        assert_same_outcome(parse_outcome(parse_tag_csv, path),
+                            parse_outcome(reference_parse, path))
+
+    @given(with_mag=st.booleans(),
+           rows=st.lists(st.tuples(
+               ROW_CELLS,
+               st.sampled_from(["imu", "imu_no_mag", "slow", "both", "t"]),
+               st.one_of(st.none(), st.sampled_from(["", " ", "x", "nan"])),
+               st.integers(0, 14)), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, with_mag, rows):
+        # Row i has time stamp 0.02 * i, or a drawn time cell, and the
+        # drawn cells of its kind's columns; the other read columns are
+        # empty. So groups come out full, empty or partial, and cells
+        # drawn past the header are extra cells. A row cut short of a read
+        # column (``cut``) makes the reference raise; the reference reads
+        # in its place a row with the same time cell and a garbled ``ax``,
+        # which it flags, or skips when the time cell is blank.
+        header = FULL_HEADER.split(",")
+        if not with_mag:
+            header = [c for c in header if c not in MAG_FIELDS]
+        width = header.index("speed") + 1
+        kinds = {"imu": IMU_FIELDS + MAG_FIELDS, "imu_no_mag": IMU_FIELDS,
+                 "slow": SLOW_FIELDS, "t": (),
+                 "both": IMU_FIELDS + MAG_FIELDS + SLOW_FIELDS}
+        lines, ref_lines = [], []
+        for i, (cells, kind, t_cell, cut) in enumerate(rows):
+            row = [f"{0.02 * i:.2f}" if t_cell is None else t_cell]
+            row += [cell if name in kinds[kind] + ("temp",) else ""
+                    for name, cell in zip(header[1:], cells)]
+            row += cells[len(header):]
+            ref_row = row
+            if cut and cut < width:
+                row = ref_row = row[:cut]
+                if row != [""]:  # a blank line, which both skip
+                    ref_row = row[:1] + ["x"] + [""] * (len(header) - 2)
+            lines.append(",".join(row))
+            ref_lines.append(",".join(ref_row))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_rows(Path(tmp) / "a.csv", lines, ",".join(header))
+            ref_path = write_rows(Path(tmp) / "ref.csv", ref_lines,
+                                  ",".join(header))
+            assert_same_outcome(parse_outcome(parse_tag_csv, path),
+                                parse_outcome(reference_parse, ref_path))
+
+    def test_memory_peak(self, tmp_path, trial_16lap):
+        # Values go to flat buffers as they are parsed; holding every row
+        # as a list of floats peaked near 6x the file size.
+        path = tmp_path / "t16.csv"
+        write_tag_csv(trial_16lap, path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            parse_tag_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 3 * size, peak / size
 
     def test_temp_cells_never_parsed(self, tmp_path):
         # The temperature column is accepted but unused, so a garbled

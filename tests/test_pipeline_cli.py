@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from swimlap.cli import main
-from swimlap.ingest import local_to_latlon
+from swimlap.ingest import local_to_latlon, parse_tag_csv
 from swimlap.pipeline import RunConfig, fit_summary
 
 LAGOON_ORIGIN = (21.27, -157.77)
@@ -134,6 +134,21 @@ class TestAnalyzeCommand:
         rows = read(out / "rest" / "laps.csv").strip().splitlines()
         assert len(rows) == 1  # header only
         assert main(["report", "--run-dir", str(out)]) == 0
+
+    def test_file_cut_off_mid_row(self, sim_dir, tmp_path):
+        # A tag file whose last row is cut off: that row is flagged with
+        # its line number, and the trial keeps every lap.
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes((sim_dir / "tag.csv").read_bytes()[:-40])
+        n_lines = len(cut.read_text().splitlines())
+        with pytest.warns(UserWarning, match="flagged 1 malformed"):
+            assert parse_tag_csv(cut).flagged_rows == [n_lines]
+            code = main(["analyze", "--input", str(cut), "--output-dir",
+                         str(tmp_path / "run"), "--animal", "TT03"])
+        assert code == 0
+        manifest = json.loads(read(tmp_path / "run" / "manifest.json"))
+        assert manifest["trials"][0]["status"] == "ok"
+        assert manifest["trials"][0]["n_laps"] == 4
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code = main(["analyze", "--input", str(tmp_path / "ghost.csv"),
