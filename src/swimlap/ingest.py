@@ -1,7 +1,14 @@
 """Raw tag-channel ingestion: CSV parsing, resampling, smoothing, geodesy.
 
 This module also holds the one CSV table codec (:func:`write_table`,
-:func:`read_table`) and number format (:func:`fmt`) of every artifact.
+:func:`read_table`) and number format (:data:`NUMBER_FORMAT`, :func:`fmt`)
+of every artifact. A table is written with the bytes of ``csv.writer``
+(minimal quoting, ``\\r\\n`` line ends), one ``%`` per row on a row
+template: 1-D float array columns are formatted with
+:data:`NUMBER_FORMAT`, converted to Python floats 4096 rows at a time;
+any other cell is text, quoted if it holds ``,``, ``"``, ``\\r`` or
+``\\n``, an ``int`` written with ``str``, or another number written with
+:func:`fmt`.
 
 The tag records two native rates: inertial channels (accelerometer,
 gyroscope, magnetometer) at nominally 50 Hz and environmental channels
@@ -18,6 +25,7 @@ import warnings
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -69,7 +77,8 @@ class TagSeries:
     ``t_imu`` indexes the inertial arrays, ``t_slow`` the depth/speed
     arrays. ``mag`` is None when the file carries no magnetometer columns.
     Rows containing non-finite values are excluded from the channels but
-    their file row numbers are kept in ``flagged_rows``.
+    their file line numbers (the line on which each row ends) are kept in
+    ``flagged_rows``.
     """
 
     t_imu: np.ndarray
@@ -140,13 +149,14 @@ def parse_tag_csv(path: str | Path,
         t_slow, slow_buf = array("d"), array("d")
         no_mag = [math.nan] * (m - 7)
         flagged: list[int] = []
-        # Blank lines are skipped and not counted.
-        for lineno, row in enumerate(filter(None, reader), start=2):
+        # Blank lines are skipped; a flagged row is numbered by the file
+        # line on which it ends.
+        for row in filter(None, reader):
             if len(row) < width:
                 # Cut short of a column that is read; a row without a
                 # time stamp carries nothing, as below.
                 if t_idx >= len(row) or row[t_idx].strip():
-                    flagged.append(lineno)
+                    flagged.append(reader.line_num)
                 continue
             cells = list(map(str.strip, get_cells(row)))
             if not cells[0]:
@@ -155,15 +165,15 @@ def parse_tag_csv(path: str | Path,
             # Partially filled channel groups are malformed, not usable data.
             if 0 < imu_cells.count("") < 6 or 0 < slow_cells.count("") < 2 \
                     or 0 < mag_cells.count("") < len(mag_cells):
-                flagged.append(lineno)
+                flagged.append(reader.line_num)
                 continue
             try:
                 vals = list(map(float, filter(None, cells)))
             except ValueError:
-                flagged.append(lineno)
+                flagged.append(reader.line_num)
                 continue
             if not all(map(math.isfinite, vals)):
-                flagged.append(lineno)
+                flagged.append(reader.line_num)
                 continue
             # vals: t, then the IMU, mag and slow groups that are present.
             if imu_cells[0]:
@@ -203,25 +213,68 @@ def parse_tag_csv(path: str | Path,
     )
 
 
+# The number format of every artifact: 9 significant digits.
+NUMBER_FORMAT = "%.9g"
+# Rows of a float column converted to Python floats at a time: converting
+# a whole column holds 4x its array bytes.
+_BLOCK = 4096
+
+
 def fmt(value: float) -> str:
-    """The number format of every artifact: 9 significant digits."""
-    return f"{float(value):.9g}"
+    """Format one number with :data:`NUMBER_FORMAT`."""
+    return NUMBER_FORMAT % float(value)
+
+
+def _cell(cell, alone: bool = False) -> str:
+    """One cell as ``csv.writer`` writes it with minimal quoting.
+
+    Text is quoted when it holds ``,``, ``"``, ``\\r`` or ``\\n``, and an
+    empty text cell when it is ``alone`` in its row, so that the row is
+    not blank. Integers are written with ``str``, other numbers with
+    :func:`fmt`.
+    """
+    if not isinstance(cell, str):
+        return str(cell) if isinstance(cell, int) else fmt(cell)
+    if '"' in cell:
+        return '"%s"' % cell.replace('"', '""')
+    if "," in cell or "\r" in cell or "\n" in cell or (alone and not cell):
+        return '"%s"' % cell
+    return cell
+
+
+def _float_cells(values: np.ndarray) -> Iterable[float]:
+    """The cells of a float array as Python floats, a block at a time."""
+    return chain.from_iterable(values[i:i + _BLOCK].tolist()
+                               for i in range(0, len(values), _BLOCK))
 
 
 def write_table(path: str | Path, columns: dict[str, Iterable]) -> None:
     """Write ``columns`` (name -> cells, one per row) as a CSV table.
 
-    Text and integer cells are written as they are, every other number
-    with :func:`fmt`. Rows are formatted one at a time as they stream to
-    the file.
+    The bytes are those of ``csv.writer`` with minimal quoting and
+    ``\\r\\n`` line ends. Each row is formatted with one ``%`` on a row
+    template built once per table. A column that is a 1-D float array
+    gets :data:`NUMBER_FORMAT` in the template, and its values are
+    converted to Python floats 4096 rows at a time, never the whole column
+    at once. Every other cell, and the header, goes through one rule per
+    cell (:func:`_cell`): text as it is (quoted if it holds ``,``, ``"``,
+    ``\\r`` or ``\\n``), ``int`` with ``str``, every other number with
+    :func:`fmt`.
     """
+    alone = len(columns) == 1
+    cells, template = [], []
+    for values in columns.values():
+        if isinstance(values, np.ndarray) and values.ndim == 1 \
+                and values.dtype.kind == "f":
+            cells.append(_float_cells(values))
+            template.append(NUMBER_FORMAT)
+        else:
+            cells.append(map(_cell, values, repeat(alone)))
+            template.append("%s")
+    row = ",".join(template) + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(
-            [cell if isinstance(cell, (str, int)) else fmt(cell)
-             for cell in row]
-            for row in zip(*columns.values()))
+        fh.write(",".join(_cell(name, alone) for name in columns) + "\r\n")
+        fh.writelines(map(row.__mod__, zip(*cells)))
 
 
 def read_table(path: str | Path) -> dict[str, list[str]]:

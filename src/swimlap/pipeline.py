@@ -16,7 +16,6 @@ import math
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -229,11 +228,15 @@ def write_normalized_csv(result: TrialResult, path: Path, grid_n: int) -> None:
              for ev in result.events]
     columns = {"lap": [lap for lap, norm in enumerate(norms)
                        for _ in norm.pct],
-               "pct": chain.from_iterable([norm.pct for norm in norms])}
+               "pct": _joined([norm.pct for norm in norms])}
     for c in NORMALIZED_CHANNELS:
-        # A list, not a generator: ``c`` must be read now, not when written.
-        columns[c] = chain.from_iterable([norm.channels[c] for norm in norms])
+        columns[c] = _joined([norm.channels[c] for norm in norms])
     write_table(path, columns)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays`` end to end as one float column (empty for no arrays)."""
+    return np.concatenate(arrays) if arrays else np.empty(0)
 
 
 def fit_summary(laps: list[dict]) -> dict:
@@ -448,11 +451,13 @@ def run_report(run_dir: str | Path) -> int:
         for lap_id, lap_track in zip(keep, align_at_corner(tracks, corners)):
             aligned["trial"] += [trial] * len(lap_track)
             aligned["lap"] += [lap_id] * len(lap_track)
-            aligned["t"].extend(lap_track.t)
-            aligned["x"].extend(lap_track.x)
-            aligned["y"].extend(lap_track.y)
+            aligned["t"].append(lap_track.t)
+            aligned["x"].append(lap_track.x)
+            aligned["y"].append(lap_track.y)
 
     write_table(report_dir / "phase_work.csv", work)
     write_table(report_dir / "power_speed.csv", speed)
-    write_table(report_dir / "corner_aligned_tracks.csv", aligned)
+    write_table(report_dir / "corner_aligned_tracks.csv", {
+        c: _joined(cells) if c in ("t", "x", "y") else cells
+        for c, cells in aligned.items()})
     return 0

@@ -547,7 +547,13 @@ TRUTH_COLUMNS = ("t", "x", "y", "v_meas", "v_xy", "psi", "theta",
 
 
 def _spread(values: np.ndarray, mask: np.ndarray):
-    """``values`` on the rows where ``mask`` holds, empty cells elsewhere."""
+    """``values`` on the rows where ``mask`` holds, empty cells elsewhere.
+
+    A mask that holds on every row gives the float array itself, which the
+    table codec formats as one float column.
+    """
+    if mask.all():
+        return values
     cells = iter(values)
     return (next(cells) if on else "" for on in mask)
 

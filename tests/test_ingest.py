@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swimlap.ingest import (
@@ -42,7 +42,9 @@ def write_rows(path, rows, header=FULL_HEADER):
 def reference_parse(path, schema=None):
     """The csv.DictReader parser that the single csv.reader pass replaced.
 
-    It raises AttributeError on a row cut short of a column it reads.
+    It raises AttributeError on a row cut short of a column it reads. A
+    flagged row is numbered by the file line on which it ends, as in
+    ``parse_tag_csv``.
     """
     colmap = {name: name for name in CSV_COLUMNS}
     if schema:
@@ -62,7 +64,8 @@ def reference_parse(path, schema=None):
         t_imu, imu_rows = [], []
         t_slow, slow_rows = [], []
         flagged = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             t_cell = row.get(colmap["t"], "").strip()
             if not t_cell:
                 continue
@@ -225,6 +228,18 @@ class TestParse:
             tag = parse_tag_csv(write_rows(tmp_path / "a.csv", rows))
         assert tag.n_imu == 2
         assert tag.flagged_rows == [3]
+
+    def test_flagged_rows_are_file_lines(self, tmp_path):
+        # A blank line is skipped but still counts as a line of the file.
+        rows = ["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+                "",
+                "0.2,0,0,nan,0,0,0,1,0,0,1.0,2.0,",
+                "0.4,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+                "0.6,x,0,9.81,0,0,0,1,0,0,1.0,2.0,"]
+        with pytest.warns(UserWarning, match="flagged 2 malformed"):
+            tag = parse_tag_csv(write_rows(tmp_path / "a.csv", rows))
+        assert tag.n_imu == 2
+        assert tag.flagged_rows == [4, 6]
 
     def test_short_row_flagged(self, tmp_path):
         # Rows cut off, as at the end of a truncated file, are flagged:
@@ -462,6 +477,73 @@ class TestBoundary:
                            [(0, 0), (40, 0), (40, 20), (0, 20)], atol=1e-6)
 
 
+def reference_fmt(value):
+    return f"{float(value):.9g}"
+
+
+def reference_cell(cell):
+    """A cell of the reference codec, as text before quoting."""
+    if isinstance(cell, str):
+        return cell
+    return str(cell) if isinstance(cell, int) else reference_fmt(cell)
+
+
+def reference_write_table(path, columns):
+    """The csv.writer codec that the row template replaced."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(
+            [cell if isinstance(cell, (str, int)) else reference_fmt(cell)
+             for cell in row]
+            for row in zip(*columns.values()))
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+# Text without NUL, which csv.writer refuses before Python 3.11.
+TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\x00"), max_size=6),
+    st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a,b", 'say "hi"',
+                     "é", "%s", " "]))
+
+
+@st.composite
+def table_column(draw, n):
+    """A column of ``n`` cells of one of the kinds the tables hold."""
+
+    def cells(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    kind = draw(st.sampled_from(["f64", "f32", "py", "int_array",
+                                 "np_float_list", "text"]))
+    if kind == "f64":
+        return np.array(cells(st.one_of(
+            st.floats(), st.sampled_from(
+                SPECIAL_FLOATS + [5e-324, 1e-310, 1e300, -1e300]))),
+            dtype=np.float64)
+    if kind == "f32":
+        return np.array(cells(st.one_of(
+            st.floats(width=32), st.sampled_from(
+                SPECIAL_FLOATS + [1e-45, 1e-40, 3e38]))), dtype=np.float32)
+    if kind == "py":
+        return cells(st.one_of(st.integers(), st.booleans(), st.floats()))
+    if kind == "int_array":
+        return np.array(cells(st.integers(-2**31, 2**31 - 1)),
+                        dtype=draw(st.sampled_from([np.int64, np.int32])))
+    if kind == "np_float_list":
+        return [np.float64(x) for x in cells(st.floats())]
+    return cells(TEXT)
+
+
+@st.composite
+def tables(draw):
+    """One to four named columns of zero to six rows."""
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    return {name: draw(table_column(n)) for name in names}
+
+
 class TestTable:
     def test_write_table_bytes(self, tmp_path):
         # Integers and text pass through; every other number is written
@@ -483,6 +565,37 @@ class TestTable:
             "lap": ["0", "1", "2", "3", "4", "12345678901"],
             "trial": ["TT01"] * 6,
             "value": ["nan", "inf", "-inf", "-0", "1e-10", "1.23456789e+11"]}
+
+    @given(columns=tables())
+    # csv.writer writes a row of one empty cell as "", so that the row is
+    # not blank; a wider row of empty cells is only commas.
+    @example(columns={"": ["", "a,b"]})
+    @example(columns={"a": [""], "b": [""]})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref_path = Path(tmp) / "a.csv", Path(tmp) / "ref.csv"
+            write_table(path, columns)
+            reference_write_table(ref_path, columns)
+            assert path.read_bytes() == ref_path.read_bytes()
+            assert read_table(path) == {
+                name: [reference_cell(cell) for cell in cells]
+                for name, cells in columns.items()}
+
+    def test_memory_peak(self, tmp_path):
+        # Float columns are converted to Python floats a block at a time;
+        # converting whole columns peaked at 4x the array bytes.
+        rng = np.random.default_rng(0)
+        columns = {name: rng.normal(size=200_000) for name in "abcd"}
+        array_bytes = sum(c.nbytes for c in columns.values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_table(tmp_path / "table.csv", columns)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * array_bytes, peak / array_bytes
 
 
 class TestMasterTimeline:
