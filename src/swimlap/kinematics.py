@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import MasterTimeline, moving_average
-from .params import AnimalParams
 
 SMOOTH_WINDOW_S = 1.0
 
@@ -34,7 +33,6 @@ class KinematicState:
     a_t: np.ndarray
     omega: np.ndarray
     a_n: np.ndarray
-    v_bl: np.ndarray
 
     @property
     def dt(self) -> float:
@@ -57,8 +55,7 @@ def central_diff(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def compute_kinematics(v_raw: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
-                       depth: np.ndarray, params: AnimalParams,
-                       timeline: MasterTimeline,
+                       depth: np.ndarray, timeline: MasterTimeline,
                        smooth_window_s: float = SMOOTH_WINDOW_S) -> KinematicState:
     """Assemble the kinematic state from timeline-aligned channels.
 
@@ -83,6 +80,4 @@ def compute_kinematics(v_raw: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
     v_xy = v * np.cos(theta)
     return KinematicState(
         t=timeline.t, v=v, v_xy=v_xy, theta=theta, psi=psi,
-        depth=np.asarray(depth, dtype=float), a_t=a_t, omega=omega, a_n=a_n,
-        v_bl=v / params.length,
-    )
+        depth=np.asarray(depth, dtype=float), a_t=a_t, omega=omega, a_n=a_n)

@@ -11,6 +11,10 @@ The fusion step is the standard gradient-descent AHRS update: gyroscope
 integration corrected toward the accelerometer gravity direction (and,
 when available, the magnetometer field direction) at rate ``beta``. With
 ``beta = 0`` it reduces to pure gyro integration.
+
+Only pitch and unwrapped yaw are outputs, the two angles the
+dead-reckoned track needs; roll is used to seed the filter and inside the
+Euler conversion.
 """
 
 from __future__ import annotations
@@ -25,25 +29,19 @@ from .ingest import TagSeries
 
 @dataclass
 class OrientationSeries:
-    """Euler angles per IMU sample; yaw is unwrapped (no +-pi jumps)."""
+    """Pitch and yaw per IMU sample; yaw is unwrapped (no +-pi jumps).
+
+    No stage reads roll, so the series does not keep it.
+    """
 
     t: np.ndarray
     pitch: np.ndarray
-    roll: np.ndarray
     yaw: np.ndarray
 
 
 # IMU samples that estimate_orientation converts to Python floats at once.
 # Whole arrays at once would hold about nine times their bytes.
 _BLOCK = 1024
-
-
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    norm = math.sqrt(float(np.dot(q, q)))
-    if norm == 0.0:
-        raise ValueError("zero-norm quaternion")
-    return q / norm
 
 
 def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -57,17 +55,16 @@ def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
                      cy * sp * sr + sy * cp * cr])
 
 
-def _euler(w: float, x: float, y: float,
-           z: float) -> tuple[float, float, float]:
-    s = max(-1.0, min(1.0, 2.0 * (x * z - w * y)))
-    return (math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
-            math.asin(s),
-            math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)))
+def quat_to_euler(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (roll, pitch, yaw) of unit quaternions ``q``, shape (4,) or (n, 4).
 
-
-def quat_to_euler(q: np.ndarray) -> tuple[float, float, float]:
-    """Return (roll, pitch, yaw); pitch is clamped at the +-pi/2 gimbal."""
-    return _euler(*quat_normalize(q).tolist())
+    The inverse of :func:`euler_to_quat`; pitch is clamped at the +-pi/2
+    gimbal.
+    """
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return (np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+            np.arcsin(np.clip(2.0 * (x * z - w * y), -1.0, 1.0)),
+            np.arctan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)))
 
 
 def _ahrs_step(w: float, x: float, y: float, z: float,
@@ -75,10 +72,11 @@ def _ahrs_step(w: float, x: float, y: float, z: float,
                ax: float, ay: float, az: float,
                mag: list[float] | None, beta: float, dt: float
                ) -> tuple[float, float, float, float]:
-    """One AHRS update on Python floats; ``mag`` is (mx, my, mz) or None.
+    """One AHRS update on Python floats; returns the unit quaternion.
 
-    This is the only copy of the filter math: :func:`ahrs_update` and
-    :func:`estimate_orientation` both call it.
+    gyro in rad/s, accel in m/s^2 (any scale: only its direction is used),
+    ``mag`` is (mx, my, mz) in any consistent units, or None for
+    gyro+accel-only fusion. This is the only copy of the filter math.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -147,22 +145,6 @@ def _ahrs_step(w: float, x: float, y: float, z: float,
     return w / norm, x / norm, y / norm, z / norm
 
 
-def ahrs_update(q: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
-                mag: np.ndarray | None, beta: float, dt: float) -> np.ndarray:
-    """Advance the attitude quaternion by one IMU sample.
-
-    gyro in rad/s, accel in m/s^2 (any scale: only its direction is used),
-    mag in any consistent units or None for gyro+accel-only fusion.
-    Returns a unit quaternion.
-    """
-    mag = None if mag is None else np.asarray(mag, dtype=float).tolist()
-    return np.array(_ahrs_step(
-        *np.asarray(q, dtype=float).tolist(),
-        *np.asarray(gyro, dtype=float).tolist(),
-        *np.asarray(accel, dtype=float).tolist(),
-        mag, float(beta), float(dt)))
-
-
 def pose_from_measurements(accel: np.ndarray, mag: np.ndarray | None,
                            fallback_heading: float = 0.0
                            ) -> tuple[float, float, float]:
@@ -218,8 +200,8 @@ def estimate_orientation(tag: TagSeries, beta: float = 0.1,
         w, x, y, z = _ahrs_step(w, x, y, z, 0.0, 0.0, 0.0, *accel0, mag0,
                                 beta, dt0)
 
-    euler = np.empty((n, 3))
-    euler[0] = _euler(w, x, y, z)
+    pitch, yaw = np.empty(n), np.empty(n)
+    _, pitch[0], yaw[0] = quat_to_euler((w, x, y, z))
     for i0 in range(1, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
         mags = (mag_series[i0:i1].tolist() if mag_series is not None
@@ -230,9 +212,7 @@ def estimate_orientation(tag: TagSeries, beta: float = 0.1,
                 np.diff(t[i0 - 1:i1]).tolist()):
             w, x, y, z = _ahrs_step(w, x, y, z, gx, gy, gz, ax, ay, az, mag,
                                     beta, dt)
-            block.append(_euler(w, x, y, z))
-        euler[i0:i1] = block
+            block.append((w, x, y, z))
+        _, pitch[i0:i1], yaw[i0:i1] = quat_to_euler(block)
 
-    roll, pitch, yaw = euler.T
-    return OrientationSeries(t=t, pitch=pitch, roll=roll,
-                             yaw=np.unwrap(yaw))
+    return OrientationSeries(t=t, pitch=pitch, yaw=np.unwrap(yaw))

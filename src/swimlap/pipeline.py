@@ -98,6 +98,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        for key in ("origin", "station"):
+            point = getattr(self, key)
+            if point is not None and not (
+                    len(point) == 2 and all(map(math.isfinite, point))):
+                raise ValueError(
+                    f"{key} must be two finite numbers, got {point!r}")
         if self.station is None and self.boundary is None:
             object.__setattr__(self, "station", (0.0, 0.0))
 
@@ -184,7 +192,7 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
         resample_linear(orient.t, orient.pitch, timeline),
         resample_linear(orient.t, orient.yaw, timeline),
         resample_linear(tag.t_slow, tag.depth, timeline),
-        cfg.animal, timeline, smooth_window_s=cfg.smooth_window_s)
+        timeline, smooth_window_s=cfg.smooth_window_s)
     track = dead_reckon(kin, cfg.station)
     track.radius = curvature_radius(track, timeline.dt)
     power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal,

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swimlap import get_animal
 from swimlap.ingest import MasterTimeline
 from swimlap.kinematics import central_diff, compute_kinematics
 
@@ -51,12 +50,12 @@ class TestCentralDiff:
         assert errs[0.2] / errs[0.1] == pytest.approx(4.0, rel=0.15)
 
 
-def make_state(v, yaw, pitch=None, depth=None, animal="TT01"):
+def make_state(v, yaw, pitch=None, depth=None):
     n = len(v)
     tl = MasterTimeline(t0=0.0, dt=0.2, n=n)
     pitch = np.zeros(n) if pitch is None else pitch
     depth = np.full(n, 1.0) if depth is None else depth
-    return compute_kinematics(v, pitch, yaw, depth, get_animal(animal), tl)
+    return compute_kinematics(v, pitch, yaw, depth, tl)
 
 
 class TestComputeKinematics:
@@ -86,12 +85,6 @@ class TestComputeKinematics:
                          pitch=np.full(n, np.radians(60.0)))
         assert np.allclose(kin.v_xy, 1.0, atol=1e-12)
 
-    def test_body_length_speed_roundtrip(self):
-        n = 30
-        animal = get_animal("TT02")
-        kin = make_state(np.full(n, 3.3), np.zeros(n), animal="TT02")
-        assert np.allclose(kin.v_bl * animal.length, kin.v, rtol=1e-12)
-
     def test_speed_clamped_nonnegative(self):
         n = 30
         v = np.zeros(n)
@@ -102,7 +95,7 @@ class TestComputeKinematics:
         tl = MasterTimeline(t0=0.0, dt=0.2, n=10)
         with pytest.raises(ValueError, match="not aligned"):
             compute_kinematics(np.zeros(9), np.zeros(10), np.zeros(10),
-                               np.zeros(10), get_animal("TT01"), tl)
+                               np.zeros(10), tl)
 
     def test_smoothing_window_matches_moving_average(self):
         from swimlap.ingest import moving_average

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swimlap import get_animal
 from swimlap.ingest import MasterTimeline
 from swimlap.kinematics import compute_kinematics
 from swimlap.localization import (
@@ -36,8 +35,7 @@ def state_from(v, yaw, n=None, dt=0.2):
     n = len(v) if n is None else n
     tl = MasterTimeline(t0=0.0, dt=dt, n=n)
     return compute_kinematics(np.asarray(v, float), np.zeros(n),
-                              np.asarray(yaw, float), np.full(n, 1.0),
-                              get_animal("TT01"), tl)
+                              np.asarray(yaw, float), np.full(n, 1.0), tl)
 
 
 def raw_state(v_xy, psi, dt=0.2):
@@ -50,7 +48,7 @@ def raw_state(v_xy, psi, dt=0.2):
     zero = np.zeros(n)
     return KinematicState(t=np.arange(n) * dt, v=v_xy.copy(), v_xy=v_xy,
                           theta=zero, psi=psi, depth=zero + 1.0, a_t=zero,
-                          omega=zero, a_n=zero, v_bl=v_xy / 2.0)
+                          omega=zero, a_n=zero)
 
 
 class TestDeadReckon:

@@ -4,18 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swimlap import orientation
 from swimlap.ingest import master_timeline, resample_linear
 from swimlap.orientation import (
-    OrientationSeries,
-    ahrs_update,
+    _ahrs_step,
     estimate_orientation,
     euler_to_quat,
     pose_from_measurements,
-    quat_normalize,
     quat_to_euler,
 )
 from swimlap.simulator import NoiseSpec, preset_scenario, simulate
@@ -41,6 +39,32 @@ def quat_rotate(q, v):
     conj = np.array([q[0], -q[1], -q[2], -q[3]])
     return quat_multiply(quat_multiply(q, np.concatenate(([0.0], v))),
                          conj)[1:]
+
+
+def quat_normalize(q):
+    q = np.asarray(q, dtype=float)
+    norm = math.sqrt(float(np.dot(q, q)))
+    if norm == 0.0:
+        raise ValueError("zero-norm quaternion")
+    return q / norm
+
+
+def ahrs_update(q, gyro, accel, mag, beta, dt):
+    """The package's filter step on arrays: one call of ``_ahrs_step``."""
+    mag = None if mag is None else np.asarray(mag, dtype=float).tolist()
+    return np.array(_ahrs_step(
+        *np.asarray(q, dtype=float).tolist(),
+        *np.asarray(gyro, dtype=float).tolist(),
+        *np.asarray(accel, dtype=float).tolist(),
+        mag, float(beta), float(dt)))
+
+
+def reference_euler(w, x, y, z):
+    """The per-sample scalar conversion that quat_to_euler replaced."""
+    s = max(-1.0, min(1.0, 2.0 * (x * z - w * y)))
+    return (math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+            math.asin(s),
+            math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)))
 
 
 def reference_ahrs_update(q, gyro, accel, mag, beta, dt):
@@ -98,31 +122,38 @@ def reference_ahrs_update(q, gyro, accel, mag, beta, dt):
     return quat_normalize(np.array([w, x, y, z]) + q_dot * dt)
 
 
-def reference_estimate_orientation(tag, beta=0.1, settle_s=1.0):
-    """The per-sample numpy loop that estimate_orientation replaced.
+def reference_estimate_orientation(tag, step=ahrs_update, beta=0.1,
+                                   settle_s=1.0):
+    """The per-sample loop: ``step`` and ``reference_euler`` per sample.
 
-    Returns the Euler series and the state quaternion after each sample.
+    With the default step this is estimate_orientation as it was before
+    the Euler conversion went to one vectorized call per block. Returns
+    pitch, unwrapped yaw and the state quaternion after each sample.
     """
     n, t, mag = tag.n_imu, tag.t_imu, tag.mag
     mag0 = mag[0] if mag is not None else None
     q = euler_to_quat(*pose_from_measurements(tag.accel[0], mag0, 0.0))
     dt0 = float(t[1] - t[0])
     for _ in range(int(round(settle_s / dt0))):
-        q = reference_ahrs_update(q, np.zeros(3), tag.accel[0], mag0,
-                                  beta, dt0)
+        q = step(q, np.zeros(3), tag.accel[0], mag0, beta, dt0)
     states = np.empty((n, 4))
-    euler = np.empty((n, 3))
     states[0] = q
-    euler[0] = quat_to_euler(q)
     for i in range(1, n):
-        q = reference_ahrs_update(
-            q, tag.gyro[i], tag.accel[i], mag[i] if mag is not None else None,
-            beta, float(t[i] - t[i - 1]))
+        q = step(q, tag.gyro[i], tag.accel[i],
+                 mag[i] if mag is not None else None,
+                 beta, float(t[i] - t[i - 1]))
         states[i] = q
-        euler[i] = quat_to_euler(q)
-    roll, pitch, yaw = euler.T
-    return OrientationSeries(t=t, pitch=pitch, roll=roll,
-                             yaw=np.unwrap(yaw)), states
+    _, pitch, yaw = np.array([reference_euler(*q)
+                              for q in states.tolist()]).T
+    return pitch, np.unwrap(yaw), states
+
+
+unit_quats = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.dot(q, q) > 1e-6).map(quat_normalize)
+# At the +-pi/2 gimbal 2(xz - wy) rounds past +-1 for about one in five.
+gimbal_quats = st.builds(
+    lambda roll, yaw, sign: euler_to_quat(roll, sign * math.pi / 2, yaw),
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.sampled_from((-1, 1)))
 
 
 class TestEulerQuat:
@@ -154,6 +185,23 @@ class TestEulerQuat:
         q = euler_to_quat(0.0, math.pi / 2, 0.0)
         _, pitch, _ = quat_to_euler(q)
         assert abs(pitch - math.pi / 2) < 1e-9
+        # Here 2(xz - wy) rounds past 1; the clamp keeps pitch finite.
+        w, x, y, z = q = euler_to_quat(2.0, math.pi / 2, 0.0)
+        assert 2.0 * (x * z - w * y) > 1.0
+        assert quat_to_euler(q)[1] == math.pi / 2
+
+    @given(st.lists(st.one_of(unit_quats, gimbal_quats), min_size=1,
+                    max_size=50))
+    @example([euler_to_quat(2.0, math.pi / 2, 0.0),
+              euler_to_quat(2.0, -math.pi / 2, 0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_matches_scalar(self, quats):
+        q = np.array(quats)
+        ref = np.array([reference_euler(*row) for row in q.tolist()]).T
+        for name, out, want in zip(("roll", "pitch", "yaw"),
+                                   quat_to_euler(q), ref):
+            assert out.shape == (len(quats),), name
+            np.testing.assert_array_max_ulp(out, want, maxulp=4)
 
 
 class TestAhrsUpdate:
@@ -280,29 +328,38 @@ def noisy_tag(preset, n_laps, seed, with_mag=True):
     return tag if with_mag else replace(tag, mag=None)
 
 
+def assert_matches_reference(tag):
+    pitch, yaw, _ = reference_estimate_orientation(tag)
+    out = estimate_orientation(tag)
+    np.testing.assert_allclose(out.pitch, pitch, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.yaw, yaw, rtol=0, atol=1e-12)
+
+
 class TestMatchesReference:
-    # On noisy tags the filter is well conditioned, so the scalar step and
-    # the numpy reference differ only by rounding, carried through the run.
+    # Both loops run the same _ahrs_step on the same floats, so only the
+    # Euler conversion differs: numpy's arcsin/arctan2 on a block against
+    # math.asin/atan2 per sample, which may round the last bit apart.
     @pytest.mark.parametrize("preset,with_mag", [
         ("TT03", True), ("TT02", True), ("TT03", False)],
         ids=["TT03_noisy_mag", "TT02_noisy", "TT03_noisy_nomag"])
     def test_series(self, preset, with_mag):
-        tag = noisy_tag(preset, 4, seed=11, with_mag=with_mag)
-        ref, _ = reference_estimate_orientation(tag)
-        out = estimate_orientation(tag)
-        for name in ("pitch", "roll", "yaw"):
-            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
-                                       rtol=0, atol=1e-6, err_msg=name)
+        assert_matches_reference(
+            noisy_tag(preset, 4, seed=11, with_mag=with_mag))
+
+    def test_series_zero_noise(self, preset_trials):
+        _, _, tag, _ = preset_trials["TT03"]
+        assert_matches_reference(tag)
 
     def test_every_step_noiseless_trial(self, preset_trials):
         # Without noise the accelerometer reads exactly g while the tag is
         # level, the gravity gradient is of rounding size, and the
         # normalized correction step (beta * dt) takes its direction from
-        # the last bits: over a whole run the two forms then drift apart
-        # by about 1e-6 rad. Fed the reference state, every single step
-        # agrees to rounding.
+        # the last bits: over a whole run the scalar step and the numpy
+        # form drift apart by about 1e-6 rad. Fed the reference state,
+        # every single step agrees to rounding.
         _, _, tag, _ = preset_trials["TT03"]
-        _, states = reference_estimate_orientation(tag)
+        _, _, states = reference_estimate_orientation(
+            tag, step=reference_ahrs_update)
         t = tag.t_imu
         for i in range(1, tag.n_imu):
             q_prev, dt = states[i - 1], float(t[i] - t[i - 1])

@@ -165,6 +165,25 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--config", str(tmp_path / "cfg.yaml")])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key,value", [
+        ("station", [1]), ("origin", [21.2]), ("station", [float("nan"), 0]),
+        ("dt", 0)],
+        ids=["station_one_number", "origin_one_number", "station_nan",
+             "dt_zero"])
+    def test_invalid_config_values_exit_2(self, sim_dir, tmp_path, capsys,
+                                          key, value):
+        cfg = {"inputs": [str(sim_dir / "tag.csv")],
+               "output_dir": str(tmp_path / "o"), "animal": "TT03",
+               key: value}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: invalid config: {key} must be"), err
+        assert not (tmp_path / "o").exists()
+
     def test_failing_trial_continues_exit_1(self, sim_dir, tmp_path, capsys):
         bad = tmp_path / "broken.csv"
         bad.write_text("t,ax,ay,az,gx,gy,gz,mx,my,mz,depth,speed,temp\n"

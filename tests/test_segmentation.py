@@ -107,7 +107,7 @@ def synthetic_state(v, pitch_amp=np.radians(10.0), fluke_hz=1.5,
     pitch = pitch_amp * np.sin(2 * np.pi * fluke_hz * t) * pitch_on
     tl = MasterTimeline(t0=0.0, dt=dt, n=n)
     return compute_kinematics(np.asarray(v, float), pitch, np.zeros(n),
-                              np.full(n, 1.0), get_animal("TT01"), tl)
+                              np.full(n, 1.0), tl)
 
 
 class TestDetectLaps:
@@ -310,6 +310,13 @@ class TestLapMetrics:
         for _, _, _, result in preset_trials.values():
             for m in result.laps:
                 assert m["path_length_m"] > 0.0
+
+    def test_body_length_speed_roundtrip(self, preset_trials):
+        scenario, _, _, result = preset_trials["TT02"]
+        for m in result.laps:
+            for key in ("af", "cs", "trans"):
+                assert m[f"{key}_mean_speed_bl"] * scenario.animal.length \
+                    == pytest.approx(m[f"{key}_mean_speed_ms"], rel=1e-12)
 
     def test_metrics_against_analytic_scenario(self, default_lap):
         # Known-profile lap: each summary metric lands on its commanded
