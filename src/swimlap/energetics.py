@@ -39,9 +39,6 @@ class PowerSeries:
     p_thrust_nd: np.ndarray
     cot: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.t)
-
 
 def wave_drag_factor(depth: float | np.ndarray, body_diameter: float,
                      table: tuple = DEFAULT_GAMMA_TABLE) -> np.ndarray:

@@ -65,10 +65,6 @@ class MasterTimeline:
     def t(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (self.n - 1) if self.n else self.t0
-
 
 @dataclass
 class TagSeries:
@@ -360,7 +356,7 @@ def latlon_to_local(lat: float | np.ndarray, lon: float | np.ndarray,
     """
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
-    if np.any(np.abs(lat) > 90.0):
+    if not np.all(np.abs(lat) <= 90.0):
         raise ValueError("latitude out of range")
     lat0, lon0 = origin
     x = EARTH_RADIUS_M * math.cos(math.radians(lat0)) * np.radians(lon - lon0)
@@ -379,65 +375,32 @@ def local_to_latlon(x: float | np.ndarray, y: float | np.ndarray,
     return lat, lon
 
 
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def read_boundary_vertex(path: str | Path) -> tuple[float, float]:
+    """First vertex ``(lat, lon)`` of a WGS-84 GeoJSON Polygon's outer ring.
 
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-@dataclass(frozen=True)
-class LagoonBoundary:
-    """Closed lagoon outline in local metric coordinates."""
-
-    vertices: np.ndarray
-    origin: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        verts = np.asarray(self.vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-            raise ValueError("boundary needs >= 3 (x, y) vertices")
-        object.__setattr__(self, "vertices", verts)
-        n = len(verts)
-        closed = np.vstack([verts, verts[0]])
-        for i in range(n):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue  # wrap-around neighbours share a vertex
-                if _segments_intersect(closed[i], closed[i + 1],
-                                       closed[j], closed[j + 1]):
-                    raise ValueError("boundary polygon self-intersects")
-
-    @classmethod
-    def from_geojson(cls, path: str | Path,
-                     origin: tuple[float, float] | None = None) -> "LagoonBoundary":
-        """Load a WGS-84 GeoJSON Polygon; origin defaults to its first vertex.
-
-        Raises ValueError with a one-line reason for malformed files.
-        """
-        data = json.loads(Path(path).read_text())
-        geom = data.get("geometry", data) if isinstance(data, dict) else None
-        if not isinstance(geom, dict) or geom.get("type") != "Polygon":
-            raise ValueError(f"boundary file {path} must contain a Polygon")
-        try:
-            ring = geom["coordinates"][0]
-            lon = np.array([p[0] for p in ring], dtype=float)
-            lat = np.array([p[1] for p in ring], dtype=float)
-            if origin is None:
-                origin = (float(lat[0]), float(lon[0]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"boundary file {path}: Polygon has no valid "
-                             f"coordinate ring") from exc
-        if len(ring) > 1 and ring[0] == ring[-1]:
-            lon, lat = lon[:-1], lat[:-1]
-        x, y = latlon_to_local(lat, lon, origin)
-        return cls(vertices=np.column_stack([x, y]), origin=origin)
-
-    @property
-    def station(self) -> tuple[float, float]:
-        """Default station position: the first boundary vertex."""
-        return float(self.vertices[0, 0]), float(self.vertices[0, 1])
+    The file must hold a Polygon whose first ring is ``[lon, lat]`` number
+    pairs: at least 3 vertices besides a closing repeat of the first, every
+    latitude within +-90 degrees and every longitude finite. Raises
+    FileNotFoundError for a missing file and ValueError with a one-line
+    reason otherwise.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"boundary file not found: {path}")
+    data = json.loads(path.read_text())
+    geom = data.get("geometry", data) if isinstance(data, dict) else None
+    if not isinstance(geom, dict) or geom.get("type") != "Polygon":
+        raise ValueError(f"boundary file {path} must contain a Polygon")
+    try:
+        ring = geom["coordinates"][0]
+        lon = np.array([p[0] for p in ring], dtype=float)
+        lat = np.array([p[1] for p in ring], dtype=float)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"boundary file {path}: Polygon has no valid "
+                         f"coordinate ring") from exc
+    closed = len(ring) > 1 and ring[0] == ring[-1]
+    if len(ring) - closed < 3:
+        raise ValueError(f"boundary file {path}: Polygon needs >= 3 vertices")
+    if not (np.all(np.abs(lat) <= 90.0) and np.all(np.isfinite(lon))):
+        raise ValueError(f"boundary file {path}: coordinates out of range")
+    return float(lat[0]), float(lon[0])

@@ -15,7 +15,7 @@ import json
 import math
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,11 @@ from .energetics import (
     thrust_power,
 )
 from .ingest import (
-    LagoonBoundary,
     TagSeries,
+    latlon_to_local,
     master_timeline,
     parse_tag_csv,
+    read_boundary_vertex,
     read_table,
     resample_linear,
     write_table,
@@ -81,7 +82,8 @@ class RunConfig:
     animal: AnimalParams
     boundary: str | None = None
     origin: tuple[float, float] | None = None
-    # None: the boundary's station, or (0, 0) without a boundary.
+    # None: the boundary's first vertex, projected about the origin, or
+    # (0, 0) without a boundary. Both are resolved in __post_init__.
     station: tuple[float, float] | None = None
     jobs: int = 1
     schema: dict | None = None
@@ -96,17 +98,37 @@ class RunConfig:
     segmentation: SegmentationConfig = SegmentationConfig()
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        inf = math.inf
+        for key, ok, need in (
+                ("jobs", self.jobs >= 1, ">= 1"),
+                ("dt", 0.0 < self.dt < inf, "finite and positive"),
+                ("smooth_window_s", 0.0 < self.smooth_window_s < inf,
+                 "finite and positive"),
+                ("beta", 0.0 <= self.beta < inf, "finite and >= 0"),
+                ("v_min_cot", 0.0 <= self.v_min_cot < inf, "finite and >= 0"),
+                ("initial_heading_deg", abs(self.initial_heading_deg) < inf,
+                 "finite"),
+                ("grid_n", self.grid_n >= 2, ">= 2")):
+            if not ok:
+                raise ValueError(
+                    f"{key} must be {need}, got {getattr(self, key)!r}")
         for key in ("origin", "station"):
             point = getattr(self, key)
             if point is not None and not (
                     len(point) == 2 and all(map(math.isfinite, point))):
                 raise ValueError(
                     f"{key} must be two finite numbers, got {point!r}")
-        if self.station is None and self.boundary is None:
+        # The one place that resolves origin and station: the boundary's
+        # first vertex fills whichever is missing; without a boundary the
+        # station is (0, 0).
+        if self.boundary is not None:
+            lat, lon = read_boundary_vertex(self.boundary)
+            if self.origin is None:
+                object.__setattr__(self, "origin", (lat, lon))
+            if self.station is None:
+                x, y = latlon_to_local(lat, lon, self.origin)
+                object.__setattr__(self, "station", (float(x), float(y)))
+        elif self.station is None:
             object.__setattr__(self, "station", (0.0, 0.0))
 
     @classmethod
@@ -321,8 +343,6 @@ def run_analyze(cfg: RunConfig) -> int:
     missing = [p for p in cfg.inputs if not Path(p).exists()]
     if missing:
         raise FileNotFoundError(f"input file not found: {missing[0]}")
-    if cfg.boundary is not None and not Path(cfg.boundary).exists():
-        raise FileNotFoundError(f"boundary file not found: {cfg.boundary}")
     stems = [Path(p).stem for p in cfg.inputs]
     if len(set(stems)) != len(stems):
         raise ValueError("input files must have unique basenames")
@@ -330,35 +350,24 @@ def run_analyze(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cfg_use = cfg
-    if cfg.boundary is not None:
-        boundary = LagoonBoundary.from_geojson(cfg.boundary, cfg.origin)
-        updates: dict = {}
-        if cfg.origin is None:
-            updates["origin"] = boundary.origin
-        if cfg.station is None:
-            updates["station"] = boundary.station
-        if updates:
-            cfg_use = replace(cfg, **updates)
-
     if cfg.jobs > 1 and len(cfg.inputs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             statuses = dict(pool.map(
-                lambda p: _run_one_trial(cfg_use, p), cfg.inputs))
+                lambda p: _run_one_trial(cfg, p), cfg.inputs))
     else:
-        statuses = dict(_run_one_trial(cfg_use, p) for p in cfg.inputs)
+        statuses = dict(_run_one_trial(cfg, p) for p in cfg.inputs)
 
     manifest = {
         "tool": f"swimlap {__version__}",
-        "config": {**cfg_use.constants_dict(),
-                   "inputs": list(cfg_use.inputs),
-                   "output_dir": str(cfg_use.output_dir),
-                   "boundary": cfg_use.boundary,
-                   "origin": list(cfg_use.origin) if cfg_use.origin else None},
-        "config_hash": cfg_use.config_hash(),
+        "config": {**cfg.constants_dict(),
+                   "inputs": list(cfg.inputs),
+                   "output_dir": str(cfg.output_dir),
+                   "boundary": cfg.boundary,
+                   "origin": list(cfg.origin) if cfg.origin else None},
+        "config_hash": cfg.config_hash(),
         "inputs": [{"path": str(p), "sha256": _sha256(Path(p))}
-                   for p in cfg_use.inputs],
-        "trials": [statuses[Path(p).stem] for p in cfg_use.inputs],
+                   for p in cfg.inputs],
+        "trials": [statuses[Path(p).stem] for p in cfg.inputs],
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")

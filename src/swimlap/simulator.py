@@ -297,7 +297,6 @@ class _TrialState:
         s = s0 + s_local
         depth = d0 + (d1 - d0) * ss
         with np.errstate(invalid="ignore", divide="ignore"):
-            ddepth = np.where(dur > 0.0, (d1 - d0) * ssd / dur, 0.0)
             dddepth = np.where(dur > 0.0, (d1 - d0) * ssdd / dur ** 2, 0.0)
 
         theta, dtheta = self._pitch(t)
@@ -309,7 +308,7 @@ class _TrialState:
         return {
             "t": t, "x": px, "y": py, "v_meas": v_meas, "v_xy": v_xy,
             "psi": psi, "theta": theta, "dtheta": dtheta, "depth": depth,
-            "ddepth": ddepth, "dddepth": dddepth, "a_t": a_t,
+            "dddepth": dddepth, "a_t": a_t,
             "omega": omega, "a_n": omega * v_meas, "dv_xy": dv_xy,
         }
 
@@ -494,12 +493,8 @@ def synthesize_tag(truth: GroundTruth) -> TagSeries:
     if scn.noise.mag > 0.0:
         mag = mag + rng.normal(0.0, scn.noise.mag, mag.shape)
 
-    dt_slow = 1.0 / scn.slow_rate
-    n_slow = int(math.floor(state.t_total / dt_slow)) + 1
-    t_slow = np.arange(n_slow) * dt_slow
-    slow = state.evaluate(t_slow)
-    depth = slow["depth"]
-    speed = slow["v_meas"]
+    # The slow stream is sampled on the truth's own 5 Hz grid.
+    depth, speed = truth.depth, truth.v_meas
     if scn.noise.depth > 0.0:
         depth = depth + rng.normal(0.0, scn.noise.depth, depth.shape)
     if scn.noise.speed > 0.0:
@@ -509,7 +504,7 @@ def synthesize_tag(truth: GroundTruth) -> TagSeries:
 
     return TagSeries(
         t_imu=t_imu, accel=accel, gyro=gyro, mag=mag,
-        t_slow=t_slow, depth=depth, speed=speed,
+        t_slow=truth.t, depth=depth, speed=speed,
     )
 
 

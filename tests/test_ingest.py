@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import tempfile
 import tracemalloc
@@ -17,7 +18,6 @@ from swimlap.ingest import (
     MAG_FIELDS,
     SLOW_FIELDS,
     IngestError,
-    LagoonBoundary,
     MasterTimeline,
     TagSeries,
     latlon_to_local,
@@ -25,6 +25,7 @@ from swimlap.ingest import (
     master_timeline,
     moving_average,
     parse_tag_csv,
+    read_boundary_vertex,
     read_table,
     resample_linear,
     write_table,
@@ -446,35 +447,28 @@ class TestProjection:
 
 
 class TestBoundary:
-    def test_valid_polygon(self):
-        b = LagoonBoundary(vertices=[(0, 0), (40, 0), (40, 20), (0, 20)],
-                           origin=(21.0, -157.0))
-        assert b.station == (0.0, 0.0)
-
-    def test_self_intersection_rejected(self):
-        with pytest.raises(ValueError, match="self-intersects"):
-            LagoonBoundary(vertices=[(0, 0), (10, 10), (10, 0), (0, 10)],
-                           origin=(21.0, -157.0))
-
-    def test_too_few_vertices(self):
-        with pytest.raises(ValueError, match=">= 3"):
-            LagoonBoundary(vertices=[(0, 0), (1, 1)], origin=(0.0, 0.0))
-
-    def test_geojson_roundtrip(self, tmp_path):
-        import json
-
-        origin = (21.27, -157.77)
-        ring = []
-        for dx, dy in [(0, 0), (40, 0), (40, 20), (0, 20), (0, 0)]:
-            lat, lon = local_to_latlon(dx, dy, origin)
-            ring.append([float(lon), float(lat)])
-        path = tmp_path / "lagoon.geojson"
+    def write(self, path, ring):
         path.write_text(json.dumps(
             {"type": "Feature",
              "geometry": {"type": "Polygon", "coordinates": [ring]}}))
-        b = LagoonBoundary.from_geojson(path, origin)
-        assert np.allclose(b.vertices,
-                           [(0, 0), (40, 0), (40, 20), (0, 20)], atol=1e-6)
+        return path
+
+    def test_closed_ring_first_vertex(self, tmp_path):
+        ring = [[-157.77, 21.27], [-157.76, 21.27], [-157.76, 21.28],
+                [-157.77, 21.27]]
+        assert read_boundary_vertex(self.write(tmp_path / "b.geojson",
+                                               ring)) == (21.27, -157.77)
+
+    def test_local_roundtrip(self, tmp_path):
+        origin = (21.27, -157.77)
+        ring = []
+        for dx, dy in [(5, 3), (40, 0), (40, 20), (0, 20), (5, 3)]:
+            lat, lon = local_to_latlon(dx, dy, origin)
+            ring.append([float(lon), float(lat)])
+        lat, lon = read_boundary_vertex(self.write(tmp_path / "b.geojson",
+                                                   ring))
+        x, y = latlon_to_local(lat, lon, origin)
+        assert (float(x), float(y)) == pytest.approx((5.0, 3.0), abs=1e-6)
 
 
 def reference_fmt(value):
@@ -604,7 +598,7 @@ class TestMasterTimeline:
         tl = master_timeline(tag)
         assert tl.dt == 0.2
         assert tl.t0 == tag.t_slow[0]
-        assert tl.t_end <= min(tag.t_slow[-1], tag.t_imu[-1]) + 1e-9
+        assert tl.t[-1] <= min(tag.t_slow[-1], tag.t_imu[-1]) + 1e-9
 
     def test_too_short(self):
         from swimlap.ingest import TagSeries

@@ -168,9 +168,14 @@ class TestAnalyzeCommand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("key,value", [
         ("station", [1]), ("origin", [21.2]), ("station", [float("nan"), 0]),
-        ("dt", 0)],
+        ("dt", 0), ("beta", -1), ("beta", float("nan")),
+        ("smooth_window_s", 0), ("smooth_window_s", float("inf")),
+        ("v_min_cot", -0.1), ("v_min_cot", float("nan")),
+        ("initial_heading_deg", float("nan")), ("grid_n", 1)],
         ids=["station_one_number", "origin_one_number", "station_nan",
-             "dt_zero"])
+             "dt_zero", "beta_negative", "beta_nan", "smooth_window_zero",
+             "smooth_window_inf", "v_min_cot_negative", "v_min_cot_nan",
+             "initial_heading_nan", "grid_n_one"])
     def test_invalid_config_values_exit_2(self, sim_dir, tmp_path, capsys,
                                           key, value):
         cfg = {"inputs": [str(sim_dir / "tag.csv")],
@@ -242,12 +247,22 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("content", [
         {"type": "Polygon"}, [[-157.77, 21.27]],
-        {"type": "Polygon", "coordinates": [[]]}],
-        ids=["polygon_without_coordinates", "top_level_array", "empty_ring"])
+        {"type": "Polygon", "coordinates": [[]]},
+        {"type": "Polygon", "coordinates": [
+            [[-157.77, 21.27], [-157.76, 21.27], [-157.77, 21.27]]]},
+        {"type": "Polygon", "coordinates": [
+            [[-157.77, 21.27], [-157.76, 91.0], [-157.76, 21.28]]]},
+        {"type": "Polygon", "coordinates": [
+            [[float("nan"), 21.27], [-157.76, 21.27], [-157.76, 21.28]]]},
+        None],
+        ids=["polygon_without_coordinates", "top_level_array", "empty_ring",
+             "two_vertices", "latitude_beyond_90", "longitude_nan",
+             "missing_file"])
     def test_malformed_boundary_exit_2(self, sim_dir, tmp_path, capsys,
                                        content):
         boundary = tmp_path / "lagoon.geojson"
-        boundary.write_text(json.dumps(content))
+        if content is not None:
+            boundary.write_text(json.dumps(content))
         cfg = {"inputs": [str(sim_dir / "tag.csv")],
                "output_dir": str(tmp_path / "o"), "animal": "TT03",
                "boundary": str(boundary)}

@@ -126,6 +126,13 @@ class TestSynthesizeTag:
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
+    def test_slow_stream_is_truth_grid(self, default_lap):
+        # Without noise the 5 Hz channels are the truth's own samples.
+        _, truth, tag, _ = default_lap
+        assert np.array_equal(tag.t_slow, truth.t)
+        assert np.array_equal(tag.depth, truth.depth)
+        assert np.array_equal(tag.speed, truth.v_meas)
+
     def test_different_seeds_differ(self):
         noisy = dict(noise=NoiseSpec(accel=0.05), seed=1)
         _, tag1 = simulate(LapScenario(animal=TT01, **noisy))
