@@ -13,7 +13,9 @@ any other cell is text, quoted if it holds ``,``, ``"``, ``\\r`` or
 The tag records two native rates: inertial channels (accelerometer,
 gyroscope, magnetometer) at nominally 50 Hz and environmental channels
 (depth, speed) at nominally 5 Hz. Parsing keeps both rates; all
-downstream analysis runs on a uniform 5 Hz master timeline.
+downstream analysis runs on a uniform 5 Hz master timeline, an array of
+instants (:func:`master_timeline`) whose sample period is the run's
+``RunConfig.dt``.
 """
 
 from __future__ import annotations
@@ -45,25 +47,6 @@ SLOW_FIELDS = ("depth", "speed")
 
 class IngestError(ValueError):
     """Raised for malformed tag input files."""
-
-
-@dataclass(frozen=True)
-class MasterTimeline:
-    """Uniform analysis timeline: ``t0 + dt * [0..n)``."""
-
-    t0: float
-    dt: float = 0.2
-    n: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
 
 
 @dataclass
@@ -280,12 +263,14 @@ def read_table(path: str | Path) -> dict[str, list[str]]:
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
-def master_timeline(tag: TagSeries, dt: float = 0.2) -> MasterTimeline:
-    """Build the analysis timeline from the slow channels of ``tag``.
+def master_timeline(tag: TagSeries, dt: float) -> np.ndarray:
+    """The analysis instants ``t0 + dt * [0..n)`` of ``tag``.
 
     The timeline starts at the first slow sample and is trimmed so that
     both the slow and IMU channels span every instant (no extrapolation
-    downstream).
+    downstream). Its time stamps must stay below ``1e6 * dt`` in
+    magnitude: at that size the 9 significant digits of the artifacts no
+    longer resolve ``dt / 100``.
     """
     if tag.n_slow < 2:
         raise IngestError("need at least 2 depth/speed samples")
@@ -294,33 +279,38 @@ def master_timeline(tag: TagSeries, dt: float = 0.2) -> MasterTimeline:
     if tag.n_imu:
         t0 = max(t0, float(tag.t_imu[0]))
         t_hi = min(t_hi, float(tag.t_imu[-1]))
+    t_max = max(abs(t0), abs(t_hi))
+    if t_max >= 1e6 * dt:
+        raise IngestError(
+            f"time stamp {t_max:g} s is at or above the limit 1e6 * dt = "
+            f"{1e6 * dt:g} s; t must count seconds from the start of the "
+            f"recording")
     # Nudge t0 onto the slow grid so simulator fixtures resample exactly.
     k0 = math.ceil(round((t0 - tag.t_slow[0]) / dt, 9))
     t0 = float(tag.t_slow[0]) + k0 * dt
     n = int(math.floor(round((t_hi - t0) / dt, 9))) + 1
     if n < 3:
         raise IngestError("channel overlap too short for analysis")
-    return MasterTimeline(t0=t0, dt=dt, n=n)
+    return t0 + dt * np.arange(n)
 
 
 def resample_linear(t_src: np.ndarray, values: np.ndarray,
-                    timeline: MasterTimeline) -> np.ndarray:
-    """Linearly interpolate ``values`` onto the timeline instants.
+                    t: np.ndarray) -> np.ndarray:
+    """Linearly interpolate ``values`` onto the instants ``t``.
 
-    Raises if the timeline extends beyond the channel support; this module
-    never extrapolates.
+    Raises if ``t`` extends beyond the channel support; this module never
+    extrapolates.
     """
     t_src = np.asarray(t_src, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(t_src) < 2:
         raise IngestError("resample needs at least 2 samples")
-    t_new = timeline.t
     eps = 1e-9
-    if t_new[0] < t_src[0] - eps or t_new[-1] > t_src[-1] + eps:
+    if t[0] < t_src[0] - eps or t[-1] > t_src[-1] + eps:
         raise IngestError(
-            f"timeline [{t_new[0]:g}, {t_new[-1]:g}] extends beyond channel "
+            f"timeline [{t[0]:g}, {t[-1]:g}] extends beyond channel "
             f"support [{t_src[0]:g}, {t_src[-1]:g}]")
-    return np.interp(t_new, t_src, values)
+    return np.interp(t, t_src, values)
 
 
 def moving_average(values: np.ndarray, window_s: float, dt: float) -> np.ndarray:
@@ -387,7 +377,10 @@ def read_boundary_vertex(path: str | Path) -> tuple[float, float]:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"boundary file not found: {path}")
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"boundary file {path} is not JSON: {exc}") from exc
     geom = data.get("geometry", data) if isinstance(data, dict) else None
     if not isinstance(geom, dict) or geom.get("type") != "Polygon":
         raise ValueError(f"boundary file {path} must contain a Polygon")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import MasterTimeline, moving_average
+from .ingest import moving_average
 
 SMOOTH_WINDOW_S = 1.0
 
@@ -21,10 +21,12 @@ SMOOTH_WINDOW_S = 1.0
 class KinematicState:
     """Fused kinematic channels, one value per master-timeline sample.
 
+    ``dt`` is the timeline's sample period, the run's ``RunConfig.dt``.
     ``a_n`` is signed (omega * v); use its magnitude for peak detection.
     """
 
     t: np.ndarray
+    dt: float
     v: np.ndarray
     v_xy: np.ndarray
     theta: np.ndarray
@@ -33,10 +35,6 @@ class KinematicState:
     a_t: np.ndarray
     omega: np.ndarray
     a_n: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
 
     def __len__(self) -> int:
         return len(self.t)
@@ -55,20 +53,19 @@ def central_diff(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def compute_kinematics(v_raw: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
-                       depth: np.ndarray, timeline: MasterTimeline,
+                       depth: np.ndarray, t: np.ndarray, dt: float,
                        smooth_window_s: float = SMOOTH_WINDOW_S) -> KinematicState:
-    """Assemble the kinematic state from timeline-aligned channels.
+    """Assemble the kinematic state from channels sampled at instants ``t``.
 
-    ``yaw`` must already be unwrapped; it is smoothed here together with
-    the raw speed. Pitch enters only through the planar projection
-    ``v_xy = v cos(pitch)``.
+    ``dt`` is the sample period of ``t``. ``yaw`` must already be
+    unwrapped; it is smoothed here together with the raw speed. Pitch
+    enters only through the planar projection ``v_xy = v cos(pitch)``.
     """
-    n = timeline.n
+    n = len(t)
     for name, ch in (("v_raw", v_raw), ("pitch", pitch), ("yaw", yaw),
                      ("depth", depth)):
         if len(ch) != n:
             raise ValueError(f"{name} not aligned to timeline ({len(ch)} != {n})")
-    dt = timeline.dt
 
     v = moving_average(np.asarray(v_raw, dtype=float), smooth_window_s, dt)
     v = np.maximum(v, 0.0)
@@ -79,5 +76,5 @@ def compute_kinematics(v_raw: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
     theta = np.asarray(pitch, dtype=float)
     v_xy = v * np.cos(theta)
     return KinematicState(
-        t=timeline.t, v=v, v_xy=v_xy, theta=theta, psi=psi,
+        t=t, dt=dt, v=v, v_xy=v_xy, theta=theta, psi=psi,
         depth=np.asarray(depth, dtype=float), a_t=a_t, omega=omega, a_n=a_n)

@@ -51,6 +51,8 @@ from .localization import (
 from .orientation import estimate_orientation
 from .params import AnimalParams, get_animal
 from .segmentation import (
+    CLASS_STATS,
+    PHASE_CLASSES,
     LapEvents,
     SegmentationConfig,
     classify_phases,
@@ -62,15 +64,10 @@ from .segmentation import (
 
 NORMALIZED_CHANNELS = ("v", "a_t", "a_n", "depth", "p_thrust", "cot", "x", "y")
 
-FIT_CLASSES = ("af", "cs", "trans")
-
-# Per-lap columns of laps.csv that the report's phase-work table copies,
-# and the per-class statistics (``<class>_<stat>``) of its power table.
+# Per-lap columns of laps.csv that the report's phase-work table copies.
 WORK_COLUMNS = ("work_transient_j", "work_consistent_j", "work_glide_j",
                 "work_af_j", "thrust_work_j", "thrust_work_signed_j",
                 "drag_work_j")
-CLASS_STATS = ("mean_speed_ms", "mean_speed_bl", "mean_power_w",
-               "mean_power_nd", "mean_cot")
 
 
 @dataclass(frozen=True)
@@ -168,24 +165,26 @@ class RunConfig:
             raise ValueError(f"config file {path} is not a mapping")
         return cls.from_dict(raw, overrides)
 
-    def constants_dict(self) -> dict:
-        """Thresholds and model constants only (no paths): the hash basis."""
-        return {
-            "animal": asdict(self.animal),
-            "dt": self.dt,
-            "beta": self.beta,
-            "use_mag": self.use_mag,
-            "initial_heading_deg": self.initial_heading_deg,
-            "smooth_window_s": self.smooth_window_s,
-            "gamma_table": [list(r) for r in self.gamma_table],
-            "v_min_cot": self.v_min_cot,
-            "grid_n": self.grid_n,
-            "station": list(self.station),
-            "segmentation": asdict(self.segmentation),
-        }
+    def config_dict(self) -> dict:
+        """Every field but ``jobs``, as plain data: the manifest's config.
+
+        ``jobs`` is left out so that serial and parallel runs write the
+        same manifest.
+        """
+        out = asdict(self)
+        del out["jobs"]
+        return out
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.constants_dict(), sort_keys=True)
+        """Hash of the thresholds and model constants.
+
+        The basis is :meth:`config_dict` without the paths, the origin
+        and the column map: the settings that a trial's numbers depend on.
+        """
+        basis = {k: v for k, v in self.config_dict().items()
+                 if k not in ("inputs", "output_dir", "boundary", "origin",
+                              "schema")}
+        blob = json.dumps(basis, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -205,18 +204,18 @@ class TrialResult:
 def analyze_trial(tag: TagSeries, cfg: RunConfig,
                   trial_id: str = "trial") -> TrialResult:
     """Run the full estimation chain on one parsed tag series."""
-    timeline = master_timeline(tag, cfg.dt)
+    t = master_timeline(tag, cfg.dt)
     orient = estimate_orientation(
         tag, beta=cfg.beta, use_mag=cfg.use_mag,
         initial_heading=math.radians(cfg.initial_heading_deg))
     kin = compute_kinematics(
-        resample_linear(tag.t_slow, tag.speed, timeline),
-        resample_linear(orient.t, orient.pitch, timeline),
-        resample_linear(orient.t, orient.yaw, timeline),
-        resample_linear(tag.t_slow, tag.depth, timeline),
-        timeline, smooth_window_s=cfg.smooth_window_s)
+        resample_linear(tag.t_slow, tag.speed, t),
+        resample_linear(orient.t, orient.pitch, t),
+        resample_linear(orient.t, orient.yaw, t),
+        resample_linear(tag.t_slow, tag.depth, t),
+        t, cfg.dt, smooth_window_s=cfg.smooth_window_s)
     track = dead_reckon(kin, cfg.station)
-    track.radius = curvature_radius(track, timeline.dt)
+    track.radius = curvature_radius(track, kin.dt)
     power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal,
                          gamma_table=cfg.gamma_table, v_min_cot=cfg.v_min_cot)
     events = detect_laps(kin, cfg.segmentation)
@@ -277,11 +276,10 @@ def fit_summary(laps: list[dict]) -> dict:
     class, skipping classes with fewer than 3 positive points.
     """
     out: dict = {}
-    for cls in FIT_CLASSES:
-        v = np.array([row[f"{cls}_mean_speed_ms"] for row in laps])
-        p = np.array([row[f"{cls}_mean_power_w"] for row in laps])
-        v_bl = np.array([row[f"{cls}_mean_speed_bl"] for row in laps])
-        p_nd = np.array([row[f"{cls}_mean_power_nd"] for row in laps])
+    for cls in PHASE_CLASSES:
+        # The speed and power statistics, the first four of CLASS_STATS.
+        v, v_bl, p, p_nd = (np.array([row[f"{cls}_{stat}"] for row in laps])
+                            for stat in CLASS_STATS[:4])
         good = np.isfinite(v) & np.isfinite(p) & (v > 0) & (p > 0)
         entry: dict = {"n_points": int(np.count_nonzero(good))}
         if np.count_nonzero(good) >= 3:
@@ -359,11 +357,7 @@ def run_analyze(cfg: RunConfig) -> int:
 
     manifest = {
         "tool": f"swimlap {__version__}",
-        "config": {**cfg.constants_dict(),
-                   "inputs": list(cfg.inputs),
-                   "output_dir": str(cfg.output_dir),
-                   "boundary": cfg.boundary,
-                   "origin": list(cfg.origin) if cfg.origin else None},
+        "config": cfg.config_dict(),
         "config_hash": cfg.config_hash(),
         "inputs": [{"path": str(p), "sha256": _sha256(Path(p))}
                    for p in cfg.inputs],
@@ -444,7 +438,7 @@ def run_report(run_dir: str | Path) -> int:
         for c in ("lap", *WORK_COLUMNS):
             work[c] += laps[c]
         for i, lap_id in enumerate(lap_ids):
-            for cls in FIT_CLASSES:
+            for cls in PHASE_CLASSES:
                 speed["trial"].append(trial)
                 speed["lap"].append(lap_id)
                 speed["class"].append(cls)

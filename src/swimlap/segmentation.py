@@ -23,6 +23,14 @@ from .params import AnimalParams
 
 REST, TRANSIENT, CONSISTENT, GLIDE = 0, 1, 2, 3
 
+# The phase classes of the per-lap statistics, by the labels each holds
+# (active fluking, consistent speed, transient), and the statistics: each
+# lap record has a ``<class>_<stat>`` value for every pair.
+PHASE_CLASSES = {"af": (TRANSIENT, CONSISTENT), "cs": (CONSISTENT,),
+                 "trans": (TRANSIENT,)}
+CLASS_STATS = ("mean_speed_ms", "mean_speed_bl", "mean_power_w",
+               "mean_power_nd", "mean_cot")
+
 
 @dataclass(frozen=True)
 class SegmentationConfig:
@@ -402,24 +410,15 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
         "work_signed_glide_j": work_signed[GLIDE],
     }
 
-    class_masks = {
-        "af": (lap_labels == TRANSIENT) | (lap_labels == CONSISTENT),
-        "cs": lap_labels == CONSISTENT,
-        "trans": lap_labels == TRANSIENT,
-    }
-    for key, mask in class_masks.items():
+    for cls, codes in PHASE_CLASSES.items():
+        mask = np.isin(lap_labels, codes)
+        stats = [float("nan")] * len(CLASS_STATS)
         if mask.any():
-            v = states.v[lap][mask]
-            p = p_thrust[mask]
+            v = float(states.v[lap][mask].mean())
+            p = float(p_thrust[mask].mean())
             cot = power.cot[lap][mask]
-            metrics[f"{key}_mean_speed_ms"] = float(v.mean())
-            metrics[f"{key}_mean_speed_bl"] = float(v.mean() / params.length)
-            metrics[f"{key}_mean_power_w"] = float(p.mean())
-            metrics[f"{key}_mean_power_nd"] = float(p.mean() / params.norm_constant)
-            metrics[f"{key}_mean_cot"] = (float(np.nanmean(cot))
-                                          if np.isfinite(cot).any() else float("nan"))
-        else:
-            for suffix in ("mean_speed_ms", "mean_speed_bl", "mean_power_w",
-                           "mean_power_nd", "mean_cot"):
-                metrics[f"{key}_{suffix}"] = float("nan")
+            stats = [v, v / params.length, p, p / params.norm_constant,
+                     float(np.nanmean(cot)) if np.isfinite(cot).any()
+                     else float("nan")]
+        metrics.update(zip([f"{cls}_{stat}" for stat in CLASS_STATS], stats))
     return metrics

@@ -4,6 +4,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from swimlap.ingest import (
     MAG_FIELDS,
     SLOW_FIELDS,
     IngestError,
-    MasterTimeline,
     TagSeries,
     latlon_to_local,
     local_to_latlon,
@@ -346,7 +346,7 @@ class TestParse:
 
 class TestResample:
     def timeline(self, t0=0.0, dt=0.2, n=11):
-        return MasterTimeline(t0=t0, dt=dt, n=n)
+        return t0 + dt * np.arange(n)
 
     def test_constant(self):
         t = np.arange(0, 3, 0.02)
@@ -356,18 +356,18 @@ class TestResample:
     def test_ramp_exact(self):
         t = np.arange(0, 3, 0.02)
         out = resample_linear(t, t.copy(), self.timeline())
-        assert np.allclose(out, self.timeline().t, atol=1e-12)
+        assert np.allclose(out, self.timeline(), atol=1e-12)
 
     def test_sine_within_2e4(self):
         t = np.arange(0, 3, 0.02)
         tl = self.timeline(t0=0.01, n=10)
         out = resample_linear(t, np.sin(t), tl)
-        assert np.max(np.abs(out - np.sin(tl.t))) < 2e-4
+        assert np.max(np.abs(out - np.sin(tl))) < 2e-4
 
     def test_idempotent_on_grid(self):
         tl = self.timeline()
-        values = np.sin(tl.t * 2.0)
-        out = resample_linear(tl.t, values, tl)
+        values = np.sin(tl * 2.0)
+        out = resample_linear(tl, values, tl)
         assert np.array_equal(out, values)
 
     def test_no_extrapolation(self):
@@ -595,10 +595,10 @@ class TestTable:
 class TestMasterTimeline:
     def test_from_simulated_tag(self, default_lap):
         _, _, tag, _ = default_lap
-        tl = master_timeline(tag)
-        assert tl.dt == 0.2
-        assert tl.t0 == tag.t_slow[0]
-        assert tl.t[-1] <= min(tag.t_slow[-1], tag.t_imu[-1]) + 1e-9
+        t = master_timeline(tag, 0.2)
+        assert np.allclose(np.diff(t), 0.2, rtol=0, atol=1e-12)
+        assert t[0] == tag.t_slow[0]
+        assert t[-1] <= min(tag.t_slow[-1], tag.t_imu[-1]) + 1e-9
 
     def test_too_short(self):
         from swimlap.ingest import TagSeries
@@ -608,4 +608,16 @@ class TestMasterTimeline:
                         mag=None, t_slow=np.array([0.0]),
                         depth=np.zeros(1), speed=np.zeros(1))
         with pytest.raises(IngestError):
-            master_timeline(tag)
+            master_timeline(tag, 0.2)
+
+    def test_time_stamps_at_limit(self, default_lap):
+        # From 1e6 * dt on, 9 significant digits no longer resolve dt / 100.
+        _, _, tag, _ = default_lap
+
+        def shifted(by):
+            return replace(tag, t_imu=tag.t_imu + by, t_slow=tag.t_slow + by)
+
+        end = min(tag.t_slow[-1], tag.t_imu[-1])
+        assert master_timeline(shifted(2e5 - 0.1 - end), 0.2)[-1] < 2e5
+        with pytest.raises(IngestError, match=r"limit 1e6 \* dt = 200000 s"):
+            master_timeline(shifted(2e5), 0.2)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swimlap.ingest import MasterTimeline
 from swimlap.kinematics import central_diff, compute_kinematics
 
 
@@ -52,10 +51,9 @@ class TestCentralDiff:
 
 def make_state(v, yaw, pitch=None, depth=None):
     n = len(v)
-    tl = MasterTimeline(t0=0.0, dt=0.2, n=n)
     pitch = np.zeros(n) if pitch is None else pitch
     depth = np.full(n, 1.0) if depth is None else depth
-    return compute_kinematics(v, pitch, yaw, depth, tl)
+    return compute_kinematics(v, pitch, yaw, depth, np.arange(n) * 0.2, 0.2)
 
 
 class TestComputeKinematics:
@@ -92,10 +90,9 @@ class TestComputeKinematics:
         assert np.all(kin.v >= 0.0)
 
     def test_misaligned_channels_rejected(self):
-        tl = MasterTimeline(t0=0.0, dt=0.2, n=10)
         with pytest.raises(ValueError, match="not aligned"):
             compute_kinematics(np.zeros(9), np.zeros(10), np.zeros(10),
-                               np.zeros(10), tl)
+                               np.zeros(10), np.arange(10) * 0.2, 0.2)
 
     def test_smoothing_window_matches_moving_average(self):
         from swimlap.ingest import moving_average
@@ -105,3 +102,26 @@ class TestComputeKinematics:
         v = np.abs(rng.normal(2.0, 0.5, n))
         kin = make_state(v, np.zeros(n))
         assert np.allclose(kin.v, moving_average(v, 1.0, 0.2), atol=1e-12)
+
+
+class TestSamplePeriod:
+    def test_shifted_tag_uses_configured_dt(self):
+        # A tag that starts at 1000.1 s: t[1] - t[0] of its instants is
+        # 0.20000000000004547, yet every sum over the lap uses RunConfig.dt,
+        # so phase seconds are whole samples.
+        from dataclasses import replace
+
+        from swimlap.params import get_animal
+        from swimlap.pipeline import RunConfig, analyze_trial
+        from swimlap.simulator import preset_scenario, simulate
+
+        _, tag = simulate(preset_scenario("TT03", n_laps=2))
+        tag = replace(tag, t_imu=tag.t_imu + 1000.1,
+                      t_slow=tag.t_slow + 1000.1)
+        cfg = RunConfig(inputs=("unused.csv",), output_dir="unused",
+                        animal=get_animal("TT03"))
+        result = analyze_trial(tag, cfg)
+        assert result.kin.dt == cfg.dt
+        assert result.kin.t[1] - result.kin.t[0] != cfg.dt
+        assert len(result.laps) == 2
+        assert [lap["transient_s"] for lap in result.laps] == [12.0, 12.0]

@@ -300,9 +300,9 @@ class TestEstimateOrientation:
     def test_zero_noise_yaw_rms(self, default_lap):
         scenario, truth, tag, _ = default_lap
         orient = estimate_orientation(tag, beta=0.1)
-        tl = master_timeline(tag)
+        tl = master_timeline(tag, 0.2)
         yaw5 = resample_linear(orient.t, orient.yaw, tl)
-        err = np.degrees(yaw5 - truth.psi[:tl.n])
+        err = np.degrees(yaw5 - truth.psi[:len(tl)])
         assert np.sqrt(np.mean(err ** 2)) < 0.5
 
     def test_yaw_unwrapped(self, preset_trials):
@@ -316,9 +316,9 @@ class TestEstimateOrientation:
         tag_nomag = replace(tag, mag=None)
         orient = estimate_orientation(tag_nomag, beta=0.05,
                                       initial_heading=0.0)
-        tl = master_timeline(tag)
+        tl = master_timeline(tag, 0.2)
         yaw5 = resample_linear(orient.t, orient.yaw, tl)
-        err = np.degrees(yaw5 - truth.psi[:tl.n])
+        err = np.degrees(yaw5 - truth.psi[:len(tl)])
         assert np.sqrt(np.mean(err ** 2)) < 3.0
 
 

@@ -150,6 +150,25 @@ class TestAnalyzeCommand:
         assert manifest["trials"][0]["status"] == "ok"
         assert manifest["trials"][0]["n_laps"] == 4
 
+    def test_epoch_time_stamps_fail(self, sim_dir, tmp_path, capsys):
+        # Unix-epoch time stamps are beyond what the artifacts resolve:
+        # the trial fails and says why, instead of writing coarse times.
+        lines = read(sim_dir / "tag.csv").splitlines()
+        shifted = tmp_path / "epoch.csv"
+        shifted.write_text("\n".join(
+            [lines[0]] + [f"{float(t) + 1.7e9:.3f},{rest}"
+                          for t, rest in (r.split(",", 1) for r in lines[1:])]
+        ) + "\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["analyze", "--input", str(shifted),
+                     "--output-dir", str(out), "--animal", "TT03"])
+        assert code == 1
+        trial = json.loads(read(out / "manifest.json"))["trials"][0]
+        assert trial["status"] == "failed"
+        assert "limit 1e6 * dt = 200000 s" in trial["error"]
+        assert "limit 1e6 * dt" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code = main(["analyze", "--input", str(tmp_path / "ghost.csv"),
                      "--output-dir", str(tmp_path / "o"),
@@ -254,14 +273,16 @@ class TestAnalyzeCommand:
             [[-157.77, 21.27], [-157.76, 91.0], [-157.76, 21.28]]]},
         {"type": "Polygon", "coordinates": [
             [[float("nan"), 21.27], [-157.76, 21.27], [-157.76, 21.28]]]},
-        None],
+        b"not json", None],
         ids=["polygon_without_coordinates", "top_level_array", "empty_ring",
              "two_vertices", "latitude_beyond_90", "longitude_nan",
-             "missing_file"])
+             "not_json", "missing_file"])
     def test_malformed_boundary_exit_2(self, sim_dir, tmp_path, capsys,
                                        content):
         boundary = tmp_path / "lagoon.geojson"
-        if content is not None:
+        if isinstance(content, bytes):
+            boundary.write_bytes(content)
+        elif content is not None:
             boundary.write_text(json.dumps(content))
         cfg = {"inputs": [str(sim_dir / "tag.csv")],
                "output_dir": str(tmp_path / "o"), "animal": "TT03",
@@ -271,6 +292,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(boundary) in err[0], err
 
     @pytest.mark.parametrize("station,expected", [
         (None, (5.0, 3.0)), ([0.0, 0.0], (0.0, 0.0))])
@@ -319,6 +341,32 @@ class TestConfigHash:
         raw["segmentation"] = {"v_start": 0.6}
         b = RunConfig.from_dict(raw)
         assert a.config_hash() != b.config_hash()
+
+    def test_default_hash_pinned(self, tmp_path):
+        # The hash basis is every field but jobs, the paths, the origin and
+        # the column map; a default TT03 config keeps its earlier hash.
+        raw = self.base(tmp_path)
+        raw["animal"] = "TT03"
+        assert RunConfig.from_dict(raw).config_hash() == (
+            "67ade354d14ecfae994612ddcde6e5242abb5d0a1d6166007716eb70d73e8d34")
+
+    def test_manifest_records_schema(self, sim_dir, run_dir, tmp_path):
+        lines = read(sim_dir / "tag.csv").splitlines(keepends=True)
+        tag = tmp_path / "tag.csv"
+        tag.write_text(lines[0].replace("t,", "time_s,", 1)
+                       + "".join(lines[1:]))
+        cfg = {"inputs": [str(tag)], "output_dir": str(tmp_path / "o"),
+               "animal": "TT03", "schema": {"t": "time_s"}}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 0
+        manifest = json.loads(read(tmp_path / "o" / "manifest.json"))
+        default = json.loads(read(run_dir / "manifest.json"))
+        assert manifest["config"]["schema"] == {"t": "time_s"}
+        assert default["config"]["schema"] is None
+        assert "jobs" not in manifest["config"]
+        assert manifest["config_hash"] == default["config_hash"]
+        assert read(tmp_path / "o" / "tag" / "laps.csv") == \
+            read(run_dir / "tag" / "laps.csv")
 
     def test_unknown_key_rejected(self, tmp_path):
         raw = self.base(tmp_path)

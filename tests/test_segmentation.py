@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swimlap import get_animal
-from swimlap.ingest import MasterTimeline
 from swimlap.kinematics import compute_kinematics
 from swimlap.localization import Track, fit_circle
 from swimlap.segmentation import (
@@ -105,9 +104,8 @@ def synthetic_state(v, pitch_amp=np.radians(10.0), fluke_hz=1.5,
     t = np.arange(n) * dt
     pitch_on = np.ones(n, bool) if pitch_on is None else pitch_on
     pitch = pitch_amp * np.sin(2 * np.pi * fluke_hz * t) * pitch_on
-    tl = MasterTimeline(t0=0.0, dt=dt, n=n)
     return compute_kinematics(np.asarray(v, float), pitch, np.zeros(n),
-                              np.full(n, 1.0), tl)
+                              np.full(n, 1.0), t, dt)
 
 
 class TestDetectLaps:

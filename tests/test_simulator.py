@@ -145,9 +145,9 @@ class TestSynthesizeTag:
 
         _, truth, tag, _ = default_lap
         orient = estimate_orientation(tag)
-        tl = master_timeline(tag)
+        tl = master_timeline(tag, 0.2)
         yaw = resample_linear(orient.t, orient.yaw, tl)
-        rms = np.sqrt(np.mean((np.degrees(yaw - truth.psi[:tl.n])) ** 2))
+        rms = np.sqrt(np.mean((np.degrees(yaw - truth.psi[:len(tl)])) ** 2))
         assert rms < 0.5
 
 
