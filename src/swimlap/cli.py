@@ -100,11 +100,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "jobs": args.jobs,
     }
     try:
+        raw = {}
         if args.config is not None:
-            cfg = RunConfig.from_yaml(args.config, overrides)
-        else:
-            raw = {k: v for k, v in overrides.items() if v is not None}
-            cfg = RunConfig.from_dict(raw)
+            raw = yaml.safe_load(Path(args.config).read_text())
+            if not isinstance(raw, dict):
+                raise ValueError(f"config file {args.config} is not a mapping")
+        cfg = RunConfig.from_dict(raw, overrides)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

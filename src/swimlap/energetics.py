@@ -18,7 +18,7 @@ from .params import AnimalParams
 
 # Near-surface drag augmentation vs submergence depth over body diameter:
 # 2.5x at h/d <= 0.5 easing linearly to 1.0 at h/d >= 3.0.
-DEFAULT_GAMMA_TABLE = ((0.5, 2.5), (3.0, 1.0))
+GAMMA_TABLE = ((0.5, 2.5), (3.0, 1.0))
 
 # Below this speed the COT denominator is considered degenerate.
 V_MIN_COT = 0.05
@@ -40,26 +40,24 @@ class PowerSeries:
     cot: np.ndarray
 
 
-def wave_drag_factor(depth: float | np.ndarray, body_diameter: float,
-                     table: tuple = DEFAULT_GAMMA_TABLE) -> np.ndarray:
+def wave_drag_factor(depth: float | np.ndarray,
+                     body_diameter: float) -> np.ndarray:
     """Depth-dependent drag multiplier gamma >= 1.
 
-    Piecewise-linear in the submergence ratio h/d with clamped ends;
-    ``table`` is ((h/d, gamma), ...) sorted by h/d.
+    Piecewise-linear in the submergence ratio h/d with clamped ends, through
+    the points of :data:`GAMMA_TABLE`.
     """
     if body_diameter <= 0.0:
         raise ValueError("body_diameter must be positive")
     ratio = np.asarray(depth, dtype=float) / body_diameter
     if np.any(ratio < 0.0):
         raise ValueError("depth must be non-negative")
-    hd = np.array([row[0] for row in table], dtype=float)
-    g = np.array([row[1] for row in table], dtype=float)
+    hd, g = zip(*GAMMA_TABLE)
     return np.interp(ratio, hd, g)
 
 
 def drag_force(v: float | np.ndarray, depth: float | np.ndarray,
-               params: AnimalParams,
-               gamma_table: tuple = DEFAULT_GAMMA_TABLE) -> np.ndarray:
+               params: AnimalParams) -> np.ndarray:
     """Opposing drag force (<= 0) at body speed ``v`` and depth, N.
 
     Quadratic drag with Reynolds-dependent coefficient:
@@ -69,7 +67,7 @@ def drag_force(v: float | np.ndarray, depth: float | np.ndarray,
     v = np.asarray(v, dtype=float)
     if np.any(v < 0.0):
         raise ValueError("speed must be non-negative")
-    gamma = wave_drag_factor(depth, params.body_diameter, gamma_table)
+    gamma = wave_drag_factor(depth, params.body_diameter)
     with np.errstate(divide="ignore"):
         re = v * params.length / params.nu
         cd = np.where(re > 0.0, 16.99 * re ** -0.47, 0.0)
@@ -77,30 +75,28 @@ def drag_force(v: float | np.ndarray, depth: float | np.ndarray,
 
 
 def thrust_power(t: np.ndarray, v: np.ndarray, a_t: np.ndarray,
-                 depth: np.ndarray, params: AnimalParams,
-                 gamma_table: tuple = DEFAULT_GAMMA_TABLE,
-                 v_min_cot: float = V_MIN_COT) -> PowerSeries:
+                 depth: np.ndarray, params: AnimalParams) -> PowerSeries:
     """Evaluate the thrust-power balance over aligned channels.
 
     ``p_thrust = (m + 0.4 rho V) a_t v + 0.5 rho A_s C_D gamma v^3``;
     the returned series carries the force/power decomposition, the
     power over ``params.norm_constant``, and the metabolic cost of
     transport ``(p_thrust / (eta_ms eta_sp) + P_RMR) / (m v)`` in
-    J/(kg m), NaN at speeds up to ``v_min_cot``.
+    J/(kg m), NaN at speeds up to :data:`V_MIN_COT`.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     a_t = np.asarray(a_t, dtype=float)
     depth = np.asarray(depth, dtype=float)
-    gamma = wave_drag_factor(depth, params.body_diameter, gamma_table)
-    f_drag = drag_force(v, depth, params, gamma_table)
+    gamma = wave_drag_factor(depth, params.body_diameter)
+    f_drag = drag_force(v, depth, params)
     p_inertial = params.effective_mass * a_t * v
     p_drag = f_drag * v
     p_thrust = p_inertial - p_drag
     f_thrust = params.effective_mass * a_t - f_drag
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(
-            v > v_min_cot,
+            v > V_MIN_COT,
             (p_thrust / (params.eta_ms * params.eta_sp) + params.p_rmr)
             / (params.mass * v),
             np.nan)

@@ -53,8 +53,8 @@ def central_diff(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def compute_kinematics(v_raw: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
-                       depth: np.ndarray, t: np.ndarray, dt: float,
-                       smooth_window_s: float = SMOOTH_WINDOW_S) -> KinematicState:
+                       depth: np.ndarray, t: np.ndarray,
+                       dt: float) -> KinematicState:
     """Assemble the kinematic state from channels sampled at instants ``t``.
 
     ``dt`` is the sample period of ``t``. ``yaw`` must already be
@@ -67,9 +67,9 @@ def compute_kinematics(v_raw: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
         if len(ch) != n:
             raise ValueError(f"{name} not aligned to timeline ({len(ch)} != {n})")
 
-    v = moving_average(np.asarray(v_raw, dtype=float), smooth_window_s, dt)
+    v = moving_average(np.asarray(v_raw, dtype=float), SMOOTH_WINDOW_S, dt)
     v = np.maximum(v, 0.0)
-    psi = moving_average(np.asarray(yaw, dtype=float), smooth_window_s, dt)
+    psi = moving_average(np.asarray(yaw, dtype=float), SMOOTH_WINDOW_S, dt)
     a_t = central_diff(v, dt)
     omega = central_diff(psi, dt)
     a_n = omega * v

@@ -43,6 +43,9 @@ class OrientationSeries:
 # Whole arrays at once would hold about nine times their bytes.
 _BLOCK = 1024
 
+# Seconds of virtual updates on the first sample before the series starts.
+SETTLE_S = 1.0
+
 
 def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Compose q = qz(yaw) * qy(-pitch) * qx(roll) (pitch positive nose-up)."""
@@ -173,21 +176,19 @@ def pose_from_measurements(accel: np.ndarray, mag: np.ndarray | None,
 
 
 def estimate_orientation(tag: TagSeries, beta: float = 0.1,
-                         initial_heading: float = 0.0,
-                         use_mag: bool = True,
-                         settle_s: float = 1.0) -> OrientationSeries:
+                         initial_heading: float = 0.0) -> OrientationSeries:
     """Run the AHRS over the full IMU stream of ``tag``.
 
     The filter is seeded from the first accel/mag sample (heading falls
     back to ``initial_heading`` without a magnetometer) and pre-settled
-    with ``settle_s`` worth of virtual updates so the series starts
-    converged.
+    with :data:`SETTLE_S` worth of virtual updates so the series starts
+    converged. A tag without magnetometer cells runs gyro+accel only.
     """
     n = tag.n_imu
     if n < 2:
         raise ValueError("need at least 2 IMU samples")
     t = tag.t_imu
-    mag_series = tag.mag if (use_mag and tag.mag is not None) else None
+    mag_series = tag.mag
 
     mag0 = mag_series[0].tolist() if mag_series is not None else None
     accel0 = tag.accel[0].tolist()
@@ -195,7 +196,7 @@ def estimate_orientation(tag: TagSeries, beta: float = 0.1,
         accel0, mag0, initial_heading)).tolist()
     beta = float(beta)
     dt0 = float(t[1] - t[0])
-    n_settle = int(round(settle_s / dt0)) if beta > 0.0 else 0
+    n_settle = int(round(SETTLE_S / dt0)) if beta > 0.0 else 0
     for _ in range(n_settle):
         w, x, y, z = _ahrs_step(w, x, y, z, 0.0, 0.0, 0.0, *accel0, mag0,
                                 beta, dt0)

@@ -19,17 +19,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .energetics import (
-    DEFAULT_GAMMA_TABLE,
-    V_MIN_COT,
-    PowerSeries,
-    fit_power_law,
-    thrust_power,
-)
+from .energetics import PowerSeries, fit_power_law, thrust_power
 from .ingest import (
+    CSV_COLUMNS,
     TagSeries,
     latlon_to_local,
     master_timeline,
@@ -39,7 +33,7 @@ from .ingest import (
     resample_linear,
     write_table,
 )
-from .kinematics import SMOOTH_WINDOW_S, KinematicState, compute_kinematics
+from .kinematics import KinematicState, compute_kinematics
 from .localization import (
     Track,
     align_at_corner,
@@ -72,7 +66,11 @@ WORK_COLUMNS = ("work_transient_j", "work_consistent_j", "work_glide_j",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved analysis configuration for one run."""
+    """Resolved analysis configuration for one run.
+
+    Only what a run may set lives here; the method's fixed constants are
+    module constants next to the code that reads them.
+    """
 
     inputs: tuple[str, ...]
     output_dir: str
@@ -86,12 +84,7 @@ class RunConfig:
     schema: dict | None = None
     dt: float = 0.2
     beta: float = 0.1
-    use_mag: bool = True
     initial_heading_deg: float = 0.0
-    smooth_window_s: float = SMOOTH_WINDOW_S
-    gamma_table: tuple = DEFAULT_GAMMA_TABLE
-    v_min_cot: float = V_MIN_COT
-    grid_n: int = 201
     segmentation: SegmentationConfig = SegmentationConfig()
 
     def __post_init__(self) -> None:
@@ -99,13 +92,9 @@ class RunConfig:
         for key, ok, need in (
                 ("jobs", self.jobs >= 1, ">= 1"),
                 ("dt", 0.0 < self.dt < inf, "finite and positive"),
-                ("smooth_window_s", 0.0 < self.smooth_window_s < inf,
-                 "finite and positive"),
                 ("beta", 0.0 <= self.beta < inf, "finite and >= 0"),
-                ("v_min_cot", 0.0 <= self.v_min_cot < inf, "finite and >= 0"),
                 ("initial_heading_deg", abs(self.initial_heading_deg) < inf,
-                 "finite"),
-                ("grid_n", self.grid_n >= 2, ">= 2")):
+                 "finite")):
             if not ok:
                 raise ValueError(
                     f"{key} must be {need}, got {getattr(self, key)!r}")
@@ -115,6 +104,13 @@ class RunConfig:
                     len(point) == 2 and all(map(math.isfinite, point))):
                 raise ValueError(
                     f"{key} must be two finite numbers, got {point!r}")
+        if self.schema is not None and not (
+                isinstance(self.schema, dict)
+                and all(k in CSV_COLUMNS and isinstance(v, str) and v
+                        for k, v in self.schema.items())):
+            raise ValueError(
+                f"schema must be a map from column names of "
+                f"{list(CSV_COLUMNS)} to non-empty strings, got {self.schema!r}")
         # The one place that resolves origin and station: the boundary's
         # first vertex fills whichever is missing; without a boundary the
         # station is (0, 0).
@@ -141,29 +137,20 @@ class RunConfig:
             animal_params = get_animal(animal)
         else:
             raise ValueError("config needs 'animal' preset or 'params' block")
-        seg = SegmentationConfig(**data.pop("segmentation", {}) or {})
-        gamma = data.pop("gamma_table", DEFAULT_GAMMA_TABLE)
-        gamma = tuple(tuple(float(v) for v in row) for row in gamma)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        seg = data.pop("segmentation", None) or {}
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        unknown += sorted(f"segmentation.{k}" for k in
+                          set(seg) - set(SegmentationConfig.__dataclass_fields__))
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {unknown}")
         inputs = tuple(str(p) for p in data.pop("inputs", ()))
         if not inputs:
             raise ValueError("config lists no inputs")
         for key in ("origin", "station"):
             if key in data and data[key] is not None:
                 data[key] = tuple(float(v) for v in data[key])
-        return cls(inputs=inputs, animal=animal_params, segmentation=seg,
-                   gamma_table=gamma, **data)
-
-    @classmethod
-    def from_yaml(cls, path: str | Path,
-                  overrides: dict | None = None) -> "RunConfig":
-        raw = yaml.safe_load(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"config file {path} is not a mapping")
-        return cls.from_dict(raw, overrides)
+        return cls(inputs=inputs, animal=animal_params,
+                   segmentation=SegmentationConfig(**seg), **data)
 
     def config_dict(self) -> dict:
         """Every field but ``jobs``, as plain data: the manifest's config.
@@ -176,10 +163,11 @@ class RunConfig:
         return out
 
     def config_hash(self) -> str:
-        """Hash of the thresholds and model constants.
+        """Hash of the settings that a trial's numbers depend on.
 
         The basis is :meth:`config_dict` without the paths, the origin
-        and the column map: the settings that a trial's numbers depend on.
+        and the column map. The fixed constants are not in it; the tool
+        version identifies them.
         """
         basis = {k: v for k, v in self.config_dict().items()
                  if k not in ("inputs", "output_dir", "boundary", "origin",
@@ -206,18 +194,17 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
     """Run the full estimation chain on one parsed tag series."""
     t = master_timeline(tag, cfg.dt)
     orient = estimate_orientation(
-        tag, beta=cfg.beta, use_mag=cfg.use_mag,
+        tag, beta=cfg.beta,
         initial_heading=math.radians(cfg.initial_heading_deg))
     kin = compute_kinematics(
         resample_linear(tag.t_slow, tag.speed, t),
         resample_linear(orient.t, orient.pitch, t),
         resample_linear(orient.t, orient.yaw, t),
         resample_linear(tag.t_slow, tag.depth, t),
-        t, cfg.dt, smooth_window_s=cfg.smooth_window_s)
+        t, cfg.dt)
     track = dead_reckon(kin, cfg.station)
     track.radius = curvature_radius(track, kin.dt)
-    power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal,
-                         gamma_table=cfg.gamma_table, v_min_cot=cfg.v_min_cot)
+    power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal)
     events = detect_laps(kin, cfg.segmentation)
     labels = classify_phases(kin, events, cfg.segmentation)
     laps = [lap_metrics(kin, power, track, ev, labels, cfg.animal)
@@ -247,13 +234,13 @@ def write_energetics_csv(result: TrialResult, path: Path) -> None:
         "P_t_nd": power.p_thrust_nd, "COT": power.cot})
 
 
-def write_normalized_csv(result: TrialResult, path: Path, grid_n: int) -> None:
+def write_normalized_csv(result: TrialResult, path: Path) -> None:
     channels = {
         "v": result.kin.v, "a_t": result.kin.a_t, "a_n": result.kin.a_n,
         "depth": result.kin.depth, "p_thrust": result.power.p_thrust,
         "cot": result.power.cot, "x": result.track.x, "y": result.track.y,
     }
-    norms = [normalize_lap(channels, result.kin.t, ev, grid_n)
+    norms = [normalize_lap(channels, result.kin.t, ev)
              for ev in result.events]
     columns = {"lap": [lap for lap, norm in enumerate(norms)
                        for _ in norm.pct],
@@ -322,7 +309,7 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
             artifacts.append("track.geojson")
         write_laps_csv(result, trial_dir / "laps.csv")
         write_energetics_csv(result, trial_dir / "energetics.csv")
-        write_normalized_csv(result, trial_dir / "normalized.csv", cfg.grid_n)
+        write_normalized_csv(result, trial_dir / "normalized.csv")
         (trial_dir / "fits.json").write_text(
             json.dumps(fit_summary(result.laps), sort_keys=True,
                        indent=2) + "\n")

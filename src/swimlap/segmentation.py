@@ -31,20 +31,29 @@ PHASE_CLASSES = {"af": (TRANSIENT, CONSISTENT), "cs": (CONSISTENT,),
 CLASS_STATS = ("mean_speed_ms", "mean_speed_bl", "mean_power_w",
                "mean_power_nd", "mean_cot")
 
+START_SUSTAIN_S = 1.0    # s above threshold to open a lap
+END_SUSTAIN_S = 2.0      # s below threshold to close a lap
+THETA_OSC = np.radians(5.0)   # rad, fluking pitch amplitude
+OSC_WINDOW_S = 2.0       # s, sliding window for oscillation
+TRANS_SUSTAIN_S = 1.0    # s, sustain for transient labeling
+MIN_PHASE_S = 0.6        # s, shorter phases merge into neighbor
+TURN_LEVEL = 0.55        # fraction of peak |a_n| bounding turn
+GRID_N = 201             # percentage points of a normalized lap
+
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    """Detection thresholds; defaults reproduce the documented behavior."""
+    """The two run-settable detection thresholds."""
 
     v_start: float = 0.5            # m/s, lap start/end speed threshold
-    start_sustain_s: float = 1.0    # s above threshold to open a lap
-    end_sustain_s: float = 2.0      # s below threshold to close a lap
-    theta_osc: float = np.radians(5.0)   # rad, fluking pitch amplitude
-    osc_window_s: float = 2.0       # s, sliding window for oscillation
     a_thresh: float = 0.2           # m/s^2, transient |a_t| threshold
-    trans_sustain_s: float = 1.0    # s, sustain for transient labeling
-    min_phase_s: float = 0.6        # s, shorter phases merge into neighbor
-    turn_level: float = 0.55        # fraction of peak |a_n| bounding turn
+
+    def __post_init__(self) -> None:
+        for key in ("v_start", "a_thresh"):
+            value = getattr(self, key)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"segmentation.{key} must be finite and "
+                                 f"positive, got {value!r}")
 
 
 @dataclass
@@ -114,14 +123,13 @@ def _rolling_extrema(values: np.ndarray, half: int) -> tuple[np.ndarray, np.ndar
     return windows.max(axis=1), windows.min(axis=1)
 
 
-def fluking_mask(states: KinematicState,
-                 cfg: SegmentationConfig = SegmentationConfig()) -> np.ndarray:
+def fluking_mask(states: KinematicState) -> np.ndarray:
     """True where the pitch channel oscillates hard enough to be fluking."""
     dt = states.dt
-    half = max(1, int(round(cfg.osc_window_s / dt)) // 2)
-    detrended = states.theta - moving_average(states.theta, cfg.osc_window_s, dt)
+    half = max(1, int(round(OSC_WINDOW_S / dt)) // 2)
+    detrended = states.theta - moving_average(states.theta, OSC_WINDOW_S, dt)
     hi, lo = _rolling_extrema(detrended, half)
-    return np.maximum(hi, -lo) >= cfg.theta_osc
+    return np.maximum(hi, -lo) >= THETA_OSC
 
 
 def detect_laps(states: KinematicState,
@@ -134,12 +142,12 @@ def detect_laps(states: KinematicState,
     t, v = states.t, states.v
     n = len(v)
     dt = states.dt
-    start_n = max(1, int(round(cfg.start_sustain_s / dt)))
-    end_n = max(1, int(round(cfg.end_sustain_s / dt)))
+    start_n = max(1, int(round(START_SUSTAIN_S / dt)))
+    end_n = max(1, int(round(END_SUSTAIN_S / dt)))
     above = v > cfg.v_start
     if not above.any():
         return []
-    fluk = fluking_mask(states, cfg)
+    fluk = fluking_mask(states)
 
     runs = _true_runs(above)
     # Dips below threshold shorter than the end sustain do not close a lap.
@@ -173,8 +181,7 @@ def detect_laps(states: KinematicState,
             c_rel = (i1 - i0) // 2
         # The event needs interior samples on both sides for valid bounds.
         c_rel = int(np.clip(c_rel, 1, i1 - i0 - 2))
-        turn_start, turn_end = _turn_bounds(lap_t, an, c_rel, peak,
-                                            cfg.turn_level, dt)
+        turn_start, turn_end = _turn_bounds(lap_t, an, c_rel, peak, dt)
         events.append(LapEvents(
             t_s=t_s, t_c=float(lap_t[c_rel]), t_e=t_e,
             turn_start=turn_start, turn_end=turn_end, start_idx=i0,
@@ -182,11 +189,11 @@ def detect_laps(states: KinematicState,
     return events
 
 
-def _turn_bounds(t, an, c, peak, level_frac, dt):
+def _turn_bounds(t, an, c, peak, dt):
     """Turn window around sample ``c`` of one lap's samples ``t``, ``an``."""
     if peak <= 0.0:
         return float(t[c]) - dt / 2, float(t[c]) + dt / 2
-    level = level_frac * peak
+    level = TURN_LEVEL * peak
     turn_start = float(t[0])
     for k in range(c - 1, -1, -1):
         if an[k] < level:
@@ -219,9 +226,9 @@ def classify_phases(states: KinematicState, events: list[LapEvents],
     n = len(states)
     dt = states.dt
     labels = np.full(n, REST, dtype=np.int8)
-    fluk = fluking_mask(states, cfg)
-    trans_n = max(1, int(round(cfg.trans_sustain_s / dt)))
-    min_n = max(1, int(round(cfg.min_phase_s / dt)))
+    fluk = fluking_mask(states)
+    trans_n = max(1, int(round(TRANS_SUSTAIN_S / dt)))
+    min_n = max(1, int(round(MIN_PHASE_S / dt)))
     transient = _sustain(np.abs(states.a_t) >= cfg.a_thresh, trans_n)
 
     for ev in events:
@@ -302,15 +309,15 @@ def corner_circle_fits(track: Track, t: np.ndarray, events: LapEvents,
 
 
 def normalize_lap(channels: dict[str, np.ndarray], t: np.ndarray,
-                  events: LapEvents, grid_n: int = 201) -> NormalizedLap:
-    """Resample lap channels onto ``grid_n`` uniform percentage points."""
+                  events: LapEvents) -> NormalizedLap:
+    """Resample lap channels onto ``GRID_N`` uniform percentage points."""
     lap = events.window
     t_lap = t[lap]
     if len(t_lap) < 2:
         raise ValueError("lap holds fewer than 2 samples")
     pct = pct_lap_time(t_lap - events.t_s, events.t_c - events.t_s,
                        events.t_e - events.t_s)
-    grid = np.linspace(0.0, 100.0, grid_n)
+    grid = np.linspace(0.0, 100.0, GRID_N)
     out = {}
     for name, ch in channels.items():
         ch = np.asarray(ch, dtype=float)

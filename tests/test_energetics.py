@@ -55,10 +55,6 @@ class TestWaveDrag:
         assert np.all(np.diff(g) <= 1e-12)
         assert np.all(g >= 1.0)
 
-    def test_custom_table(self):
-        g = wave_drag_factor(1.0, 1.0, table=((1.0, 3.0), (2.0, 1.0)))
-        assert g == 3.0
-
 
 class TestDragForce:
     def test_zero_speed(self):
@@ -163,14 +159,10 @@ class TestCostOfTransport:
         assert ps.cot[0] == pytest.approx(2.83, abs=0.01)
 
     def test_undefined_below_guard(self):
-        # NaN at and below the guard speed, finite just above it; the
-        # guard is a parameter.
+        # NaN at and below the guard speed, finite just above it.
         v = np.array([1e-6, V_MIN_COT, 1.01 * V_MIN_COT])
         ps = thrust_power(np.zeros(3), v, np.zeros(3), np.full(3, 10.0), TT01)
         assert np.isnan(ps.cot[:2]).all() and np.isfinite(ps.cot[2])
-        ps = thrust_power(np.zeros(3), v, np.zeros(3), np.full(3, 10.0), TT01,
-                          v_min_cot=1.0)
-        assert np.isnan(ps.cot).all()
 
     def test_decreasing_in_v_at_fixed_power(self):
         v = np.linspace(0.5, 5.0, 40)

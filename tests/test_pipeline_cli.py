@@ -11,6 +11,16 @@ from swimlap.pipeline import RunConfig, fit_summary
 
 LAGOON_ORIGIN = (21.27, -157.77)
 
+# The method's fixed constants, once config keys, with their old defaults:
+# a config that sets one is refused for the key alone.
+REMOVED_KEYS = {
+    "use_mag": True, "smooth_window_s": 1.0,
+    "gamma_table": [[0.5, 2.5], [3.0, 1.0]], "v_min_cot": 0.05,
+    "grid_n": 201, "segmentation.start_sustain_s": 1.0,
+    "segmentation.end_sustain_s": 2.0, "segmentation.theta_osc": 0.0872664626,
+    "segmentation.osc_window_s": 2.0, "segmentation.trans_sustain_s": 1.0,
+    "segmentation.min_phase_s": 0.6, "segmentation.turn_level": 0.55}
+
 
 def read(path: Path) -> str:
     return path.read_text()
@@ -26,6 +36,17 @@ def write_lagoon(path: Path, corners) -> Path:
         {"type": "Feature",
          "geometry": {"type": "Polygon", "coordinates": [ring]}}))
     return path
+
+
+def write_config(path: Path, sim_dir: Path, out: Path, key: str,
+                 value) -> None:
+    """A TT03 config of ``sim_dir``'s tag that also sets ``key`` to
+    ``value``; ``segmentation.<name>`` sets a key of that block."""
+    cfg = {"inputs": [str(sim_dir / "tag.csv")], "output_dir": str(out),
+           "animal": "TT03"}
+    block, _, name = key.rpartition(".")
+    (cfg.setdefault(block, {}) if block else cfg)[name] = value
+    path.write_text(yaml.safe_dump(cfg))
 
 
 @pytest.fixture(scope="module")
@@ -190,22 +211,40 @@ class TestAnalyzeCommand:
         ("dt", 0), ("beta", -1), ("beta", float("nan")),
         ("smooth_window_s", 0), ("smooth_window_s", float("inf")),
         ("v_min_cot", -0.1), ("v_min_cot", float("nan")),
-        ("initial_heading_deg", float("nan")), ("grid_n", 1)],
+        ("initial_heading_deg", float("nan")), ("grid_n", 1),
+        ("schema", ["t"]), ("schema", {"tt": "time_s"}), ("schema", {"t": 5}),
+        ("segmentation.v_start", float("nan")), ("segmentation.v_start", -1),
+        ("segmentation.a_thresh", float("nan"))],
         ids=["station_one_number", "origin_one_number", "station_nan",
              "dt_zero", "beta_negative", "beta_nan", "smooth_window_zero",
              "smooth_window_inf", "v_min_cot_negative", "v_min_cot_nan",
-             "initial_heading_nan", "grid_n_one"])
+             "initial_heading_nan", "grid_n_one", "schema_list",
+             "schema_unknown_column", "schema_not_string", "v_start_nan",
+             "v_start_negative", "a_thresh_nan"])
     def test_invalid_config_values_exit_2(self, sim_dir, tmp_path, capsys,
                                           key, value):
-        cfg = {"inputs": [str(sim_dir / "tag.csv")],
-               "output_dir": str(tmp_path / "o"), "animal": "TT03",
-               key: value}
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        # A key that is no longer read is refused as unknown, whatever
+        # its value; the others name the key and what it must be.
+        write_config(tmp_path / "cfg.yaml", sim_dir, tmp_path / "o", key,
+                     value)
         capsys.readouterr()
         assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
-        assert err[0].startswith(f"error: invalid config: {key} must be"), err
+        reason = (f"unknown config keys: ['{key}']" if key in REMOVED_KEYS
+                  else f"{key} must be")
+        assert err[0].startswith(f"error: invalid config: {reason}"), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_config_keys_exit_2(self, sim_dir, tmp_path, capsys, key):
+        write_config(tmp_path / "cfg.yaml", sim_dir, tmp_path / "o", key,
+                     REMOVED_KEYS[key])
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: invalid config: unknown config keys: "
+                       f"['{key}']"], err
         assert not (tmp_path / "o").exists()
 
     def test_failing_trial_continues_exit_1(self, sim_dir, tmp_path, capsys):
@@ -344,11 +383,12 @@ class TestConfigHash:
 
     def test_default_hash_pinned(self, tmp_path):
         # The hash basis is every field but jobs, the paths, the origin and
-        # the column map; a default TT03 config keeps its earlier hash.
+        # the column map: the animal, dt, beta, initial_heading_deg and the
+        # two segmentation thresholds.
         raw = self.base(tmp_path)
         raw["animal"] = "TT03"
         assert RunConfig.from_dict(raw).config_hash() == (
-            "67ade354d14ecfae994612ddcde6e5242abb5d0a1d6166007716eb70d73e8d34")
+            "5782293593130d98e089441a2e00310384227d8975d04d55bb024e5e981be8ed")
 
     def test_manifest_records_schema(self, sim_dir, run_dir, tmp_path):
         lines = read(sim_dir / "tag.csv").splitlines(keepends=True)

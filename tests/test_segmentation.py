@@ -252,8 +252,7 @@ class TestNormalizeLap:
     def test_grid_and_corner(self, preset_trials):
         _, _, _, result = preset_trials["TT02"]
         ev = result.events[0]
-        norm = normalize_lap({"v": result.kin.v}, result.kin.t, ev,
-                             grid_n=201)
+        norm = normalize_lap({"v": result.kin.v}, result.kin.t, ev)
         assert norm.pct[0] == 0.0 and norm.pct[-1] == 100.0
         assert len(norm.pct) == 201
         assert 50.0 in norm.pct
