@@ -1,4 +1,4 @@
-"""Dead-reckoned planar track, curvature, and cornering-circle fits."""
+"""Dead-reckoned planar track and its radius of curvature."""
 
 from __future__ import annotations
 
@@ -13,42 +13,27 @@ from .kinematics import KinematicState
 
 # Cross-term magnitudes below this (m^2/s^3) count as straight-line motion.
 EPS_CURVATURE = 1e-6
+# Radii above this (m) count as straight too: on a straight the curvature
+# is rounding noise, so its radius would change with the last bit of the
+# heading. The presets corner at 1.1-1.8 m.
+MAX_RADIUS_M = 100.0
 
 
 @dataclass
 class Track:
-    """Planar dead-reckoned positions with per-sample curvature radius.
-
-    ``radius`` is +inf where the path is locally straight (including the
-    first and last samples, which lack a difference stencil).
-    """
+    """Planar dead-reckoned positions."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    radius: np.ndarray | None = None
     end_point: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         if not (len(self.t) == len(self.x) == len(self.y)):
             raise ValueError("track channels must share one length")
-        if self.radius is None:
-            self.radius = np.full(len(self.t), np.inf)
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-@dataclass(frozen=True)
-class CircleFit:
-    cx: float
-    cy: float
-    radius: float
-    rms_residual: float
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError("fitted radius must be positive")
 
 
 def dead_reckon(states: KinematicState, p0: tuple[float, float]) -> Track:
@@ -75,8 +60,8 @@ def curvature_radius(track: Track, dt: float,
     """Instantaneous radius of curvature from difference stencils.
 
     Interior samples use central first differences and the three-point
-    second difference; the cross term ``x' y'' - y' x''`` below ``eps``
-    (and both endpoints) map to +inf.
+    second difference; the cross term ``x' y'' - y' x''`` below ``eps``,
+    radii above ``MAX_RADIUS_M`` and both endpoints map to +inf.
     """
     x, y = track.x, track.y
     if len(x) < 3:
@@ -90,36 +75,8 @@ def curvature_radius(track: Track, dt: float,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         interior = np.where(cross < eps, np.inf,
                             (xd ** 2 + yd ** 2) ** 1.5 / cross)
-    radius[1:-1] = interior
+    radius[1:-1] = np.where(interior > MAX_RADIUS_M, np.inf, interior)
     return radius
-
-
-def fit_circle(points: np.ndarray) -> CircleFit:
-    """Algebraic least-squares circle through ``points`` (n >= 3, Nx2).
-
-    Centered formulation of the classic algebraic fit; collinear points
-    make the normal equations singular and raise ValueError.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-        raise ValueError("need at least 3 (x, y) points")
-    u = pts[:, 0] - pts[:, 0].mean()
-    v = pts[:, 1] - pts[:, 1].mean()
-    suu, svv, suv = np.sum(u * u), np.sum(v * v), np.sum(u * v)
-    a = np.array([[suu, suv], [suv, svv]])
-    b = 0.5 * np.array([np.sum(u ** 3) + np.sum(u * v * v),
-                        np.sum(v ** 3) + np.sum(v * u * u)])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    scale = max(suu, svv)
-    if scale <= 0.0 or abs(det) < 1e-12 * scale ** 2:
-        raise ValueError("points are collinear; circle fit is singular")
-    uc, vc = np.linalg.solve(a, b)
-    radius = float(np.sqrt(uc ** 2 + vc ** 2 + (suu + svv) / len(pts)))
-    cx = float(uc + pts[:, 0].mean())
-    cy = float(vc + pts[:, 1].mean())
-    dist = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-    rms = float(np.sqrt(np.mean((dist - radius) ** 2)))
-    return CircleFit(cx=cx, cy=cy, radius=radius, rms_residual=rms)
 
 
 def align_at_corner(tracks: list[Track], corner_indices: list[int]) -> list[Track]:
@@ -147,15 +104,15 @@ def align_at_corner(tracks: list[Track], corner_indices: list[int]) -> list[Trac
             t=track.t.copy(),
             x=c * x - s * y,
             y=s * x + c * y,
-            radius=track.radius.copy(),
         ))
     return aligned
 
 
-def track_to_csv(track: Track, path: str | Path) -> None:
-    """Write t, x, y, R rows."""
+def track_to_csv(track: Track, radius: np.ndarray,
+                 path: str | Path) -> None:
+    """Write t, x, y rows and each sample's radius of curvature ``R``."""
     write_table(path, {"t": track.t, "x": track.x, "y": track.y,
-                       "R": track.radius})
+                       "R": radius})
 
 
 def track_to_geojson(track: Track, path: str | Path,

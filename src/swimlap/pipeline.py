@@ -25,6 +25,7 @@ from .energetics import PowerSeries, fit_power_law, thrust_power
 from .ingest import (
     CSV_COLUMNS,
     TagSeries,
+    fmt,
     latlon_to_local,
     master_timeline,
     parse_tag_csv,
@@ -50,7 +51,6 @@ from .segmentation import (
     LapEvents,
     SegmentationConfig,
     classify_phases,
-    corner_circle_fits,
     detect_laps,
     lap_metrics,
     normalize_lap,
@@ -90,7 +90,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         inf = math.inf
         for key, ok, need in (
-                ("jobs", self.jobs >= 1, ">= 1"),
+                ("jobs", type(self.jobs) is int and self.jobs >= 1,
+                 "an integer >= 1"),
                 ("dt", 0.0 < self.dt < inf, "finite and positive"),
                 ("beta", 0.0 <= self.beta < inf, "finite and >= 0"),
                 ("initial_heading_deg", abs(self.initial_heading_deg) < inf,
@@ -203,25 +204,17 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
         resample_linear(tag.t_slow, tag.depth, t),
         t, cfg.dt)
     track = dead_reckon(kin, cfg.station)
-    track.radius = curvature_radius(track, kin.dt)
     power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal)
     events = detect_laps(kin, cfg.segmentation)
     labels = classify_phases(kin, events, cfg.segmentation)
-    laps = [lap_metrics(kin, power, track, ev, labels, cfg.animal)
-            for ev in events]
-    for i, (row, ev) in enumerate(zip(laps, events)):
-        row["lap"] = i
-        circles = corner_circle_fits(track, kin.t, ev)
-        for frac, fit in circles.items():
-            key = f"circle_radius_{int(frac)}pct"
-            row[key] = fit.radius if fit is not None else float("nan")
+    laps = [{"lap": i, **lap_metrics(kin, power, ev, labels, cfg.animal)}
+            for i, ev in enumerate(events)]
     return TrialResult(trial_id=trial_id, kin=kin, track=track, power=power,
                        events=events, labels=labels, laps=laps)
 
 
 def write_laps_csv(result: TrialResult, path: Path) -> None:
-    first = result.laps[0] if result.laps else {}
-    keys = ["lap"] + [k for k in first if k != "lap"]
+    keys = list(result.laps[0]) if result.laps else ["lap"]
     write_table(path, {k: [row[k] for row in result.laps] for k in keys})
 
 
@@ -301,7 +294,8 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
     try:
         tag = parse_tag_csv(input_path, cfg.schema)
         result = analyze_trial(tag, cfg, trial_id)
-        track_to_csv(result.track, trial_dir / "track.csv")
+        track_to_csv(result.track, curvature_radius(result.track, cfg.dt),
+                     trial_dir / "track.csv")
         artifacts = ["track.csv"]
         if cfg.origin is not None:
             track_to_geojson(result.track, trial_dir / "track.geojson",
@@ -315,8 +309,11 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
                        indent=2) + "\n")
         artifacts += ["laps.csv", "energetics.csv", "normalized.csv",
                       "fits.json"]
+        # Dead-reckoning drift: the track should end where it began.
+        mismatch = math.dist(result.track.end_point, cfg.station)
         status.update({"status": "ok", "n_laps": len(result.laps),
-                       "artifacts": artifacts})
+                       "artifacts": artifacts,
+                       "dr_endpoint_mismatch_m": float(fmt(mismatch))})
     except Exception as exc:  # noqa: BLE001 - per-trial isolation
         status.update({"status": "failed", "error": f"{type(exc).__name__}: {exc}",
                        "trace": traceback.format_exc(limit=5)})

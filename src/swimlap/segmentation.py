@@ -18,7 +18,6 @@ import numpy as np
 from .energetics import PowerSeries, thrust_work
 from .ingest import moving_average
 from .kinematics import KinematicState
-from .localization import CircleFit, Track, fit_circle
 from .params import AnimalParams
 
 REST, TRANSIENT, CONSISTENT, GLIDE = 0, 1, 2, 3
@@ -282,32 +281,6 @@ def pct_lap_time(t: np.ndarray | float, t_c: float, t_end: float):
     return float(pct) if np.isscalar(t) else pct
 
 
-def corner_circle_fits(track: Track, t: np.ndarray, events: LapEvents,
-                       fractions: tuple[float, ...] = (20.0, 50.0, 80.0),
-                       width_pct: float = 10.0
-                       ) -> dict[float, CircleFit | None]:
-    """Circle-of-best-fit over percentage-lap windows of the track.
-
-    Fits a centered ``width_pct``-wide window at each requested lap
-    fraction; straight (collinear) or too-short windows yield None.
-    """
-    lap = events.window
-    pct = pct_lap_time(t[lap] - events.t_s, events.t_c - events.t_s,
-                       events.t_e - events.t_s)
-    xs, ys = track.x[lap], track.y[lap]
-    out: dict[float, CircleFit | None] = {}
-    for frac in fractions:
-        m = (pct >= frac - width_pct / 2) & (pct <= frac + width_pct / 2)
-        if np.count_nonzero(m) < 3:
-            out[frac] = None
-            continue
-        try:
-            out[frac] = fit_circle(np.column_stack([xs[m], ys[m]]))
-        except ValueError:
-            out[frac] = None
-    return out
-
-
 def normalize_lap(channels: dict[str, np.ndarray], t: np.ndarray,
                   events: LapEvents) -> NormalizedLap:
     """Resample lap channels onto ``GRID_N`` uniform percentage points."""
@@ -327,7 +300,7 @@ def normalize_lap(channels: dict[str, np.ndarray], t: np.ndarray,
     return NormalizedLap(pct=grid, channels=out)
 
 
-def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
+def lap_metrics(states: KinematicState, power: PowerSeries,
                 events: LapEvents, labels: np.ndarray,
                 params: AnimalParams) -> dict:
     """Summary record for one analyzed lap (durations, peaks, work, COT)."""
@@ -337,7 +310,6 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
     lap_labels = labels[lap]
     p_thrust = power.p_thrust[lap]
     out_mask = t < events.t_c
-    turn_mask = (t >= events.turn_start) & (t <= events.turn_end)
 
     def phase_s(code: int, half: np.ndarray | None = None) -> float:
         m = lap_labels == code
@@ -356,16 +328,7 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
     work_signed = {code: phase_work(code, False)
                    for code in (TRANSIENT, CONSISTENT, GLIDE, REST)}
 
-    finite_r = track.radius[lap][turn_mask]
-    finite_r = finite_r[np.isfinite(finite_r)]
-    turn_pts = np.column_stack([track.x[lap][turn_mask],
-                                track.y[lap][turn_mask]])
-    try:
-        corner_fit_radius = fit_circle(turn_pts).radius
-    except ValueError:
-        corner_fit_radius = float("nan")
-    # Kinematic radius v/|omega| at the event: immune to the second-
-    # difference discretization bias of the track-based channel.
+    # The lap's one turn radius, v/|omega| at the cornering event.
     omega_c = abs(states.omega[events.corner_idx])
     corner_radius = (float(states.v[events.corner_idx] / omega_c)
                      if omega_c > 0.0 else float("nan"))
@@ -386,8 +349,6 @@ def lap_metrics(states: KinematicState, power: PowerSeries, track: Track,
         "mean_power_w": float(p_thrust.mean()),
         "peak_omega_rads": float(np.abs(states.omega[lap]).max()),
         "corner_radius_m": corner_radius,
-        "mean_turn_radius_m": float(finite_r.mean()) if len(finite_r) else float("nan"),
-        "corner_fit_radius_m": float(corner_fit_radius),
         "thrust_work_j": work_j,
         "thrust_work_signed_j": thrust_work(p_thrust, dt, rectify=False),
         "drag_work_j": thrust_work(power.p_drag[lap], dt, rectify=False),

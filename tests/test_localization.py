@@ -1,17 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swimlap.ingest import fmt
 from swimlap.kinematics import compute_kinematics
 from swimlap.localization import (
     Track,
     align_at_corner,
     curvature_radius,
     dead_reckon,
-    fit_circle,
 )
 
 
@@ -149,46 +150,26 @@ class TestCurvature:
 
     def test_cornering_radii_in_observed_range(self, preset_trials):
         # Study animals averaged 1.0-1.9 m cornering radii; the presets
-        # parameterized to those animals must land inside that range.
-        for name, (_, _, _, result) in preset_trials.items():
+        # parameterized to those animals must land inside that range,
+        # and every lap's radius within 3 % of the commanded one.
+        for name, (scenario, _, _, result) in preset_trials.items():
             radii = [m["corner_radius_m"] for m in result.laps]
             assert 1.0 <= np.mean(radii) <= 1.9, (name, np.mean(radii))
+            for lap, r in enumerate(radii):
+                assert r == pytest.approx(scenario.corner_radius,
+                                          rel=0.03), (name, lap, r)
 
-
-class TestFitCircle:
-    def test_exact_points(self):
-        ang = np.array([0.1, 1.3, 2.9, 4.4])
-        pts = np.column_stack([1.0 + 3.0 * np.cos(ang),
-                               2.0 + 3.0 * np.sin(ang)])
-        fit = fit_circle(pts)
-        assert fit.cx == pytest.approx(1.0, abs=1e-9)
-        assert fit.cy == pytest.approx(2.0, abs=1e-9)
-        assert fit.radius == pytest.approx(3.0, abs=1e-9)
-        assert fit.rms_residual < 1e-9
-
-    def test_noisy_circle(self, rng):
-        ang = np.linspace(0, 2 * math.pi, 100, endpoint=False)
-        noise = rng.uniform(-0.01, 0.01, size=(100, 2))
-        pts = np.column_stack([2.0 * np.cos(ang), 2.0 * np.sin(ang)]) + noise
-        fit = fit_circle(pts)
-        assert abs(fit.radius - 2.0) < 0.02
-
-    def test_three_points_circumscribed(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        fit = fit_circle(pts)
-        # Circumcircle of this right triangle: center (1, 1), r = sqrt(2).
-        assert fit.cx == pytest.approx(1.0, abs=1e-9)
-        assert fit.cy == pytest.approx(1.0, abs=1e-9)
-        assert fit.radius == pytest.approx(math.sqrt(2.0), abs=1e-9)
-
-    def test_collinear_raises(self):
-        pts = np.column_stack([np.arange(5.0), 2.0 * np.arange(5.0)])
-        with pytest.raises(ValueError, match="collinear"):
-            fit_circle(pts)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            fit_circle(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    def test_written_radius_ignores_last_bit_of_heading(self, preset_trials):
+        # On the straights the curvature is rounding noise; a 1-ulp
+        # heading change must not reach any written R cell.
+        _, _, _, result = preset_trials["TT01"]
+        kin = result.kin
+        p0 = (result.track.x[0], result.track.y[0])
+        nudged = replace(kin, psi=np.nextafter(kin.psi, np.inf))
+        cells = [[fmt(r) for r in curvature_radius(dead_reckon(k, p0),
+                                                   kin.dt)]
+                 for k in (kin, nudged)]
+        assert cells[0] == cells[1]
 
 
 class TestAlignAtCorner:

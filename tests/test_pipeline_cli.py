@@ -130,6 +130,17 @@ class TestAnalyzeCommand:
         rows = read(out / "tag" / "laps.csv").strip().splitlines()
         assert len(rows) == 9  # header + 8 laps
 
+    def test_endpoint_mismatch_recorded(self, tmp_path):
+        # The dead-reckoned track of a closed-loop trial ends near the
+        # station it started from.
+        sim, out = tmp_path / "sim2", tmp_path / "run2"
+        assert main(["simulate", "--preset", "TT03", "--laps", "2",
+                     "--output-dir", str(sim)]) == 0
+        assert main(["analyze", "--input", str(sim / "tag.csv"),
+                     "--output-dir", str(out), "--animal", "TT03"]) == 0
+        trial = json.loads(read(out / "manifest.json"))["trials"][0]
+        assert 0.0 <= trial["dr_endpoint_mismatch_m"] < 0.5
+
     def test_trial_without_laps(self, tmp_path):
         # A resting tag (zero speed throughout) analyzes cleanly to an
         # empty lap table.
@@ -214,13 +225,15 @@ class TestAnalyzeCommand:
         ("initial_heading_deg", float("nan")), ("grid_n", 1),
         ("schema", ["t"]), ("schema", {"tt": "time_s"}), ("schema", {"t": 5}),
         ("segmentation.v_start", float("nan")), ("segmentation.v_start", -1),
-        ("segmentation.a_thresh", float("nan"))],
+        ("segmentation.a_thresh", float("nan")), ("jobs", 2.5),
+        ("jobs", True), ("jobs", "2")],
         ids=["station_one_number", "origin_one_number", "station_nan",
              "dt_zero", "beta_negative", "beta_nan", "smooth_window_zero",
              "smooth_window_inf", "v_min_cot_negative", "v_min_cot_nan",
              "initial_heading_nan", "grid_n_one", "schema_list",
              "schema_unknown_column", "schema_not_string", "v_start_nan",
-             "v_start_negative", "a_thresh_nan"])
+             "v_start_negative", "a_thresh_nan", "jobs_float", "jobs_bool",
+             "jobs_string"])
     def test_invalid_config_values_exit_2(self, sim_dir, tmp_path, capsys,
                                           key, value):
         # A key that is no longer read is refused as unknown, whatever

@@ -1,5 +1,4 @@
 from dataclasses import fields, replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from swimlap import get_animal
 from swimlap.kinematics import compute_kinematics
-from swimlap.localization import Track, fit_circle
 from swimlap.segmentation import (
     CONSISTENT,
     GLIDE,
@@ -18,7 +16,6 @@ from swimlap.segmentation import (
     _runs,
     _true_runs,
     classify_phases,
-    corner_circle_fits,
     detect_laps,
     fluking_mask,
     lap_metrics,
@@ -225,29 +222,6 @@ class TestClassifyPhases:
         assert fluking_mask(weak).mean() < 0.1
 
 
-class TestCornerCircles:
-    def test_fit_windows_at_lap_fractions(self, default_lap):
-        scenario, _, _, result = default_lap
-        ev = result.events[0]
-        fits = corner_circle_fits(result.track, result.kin.t, ev)
-        assert set(fits) == {20.0, 50.0, 80.0}
-        mid = fits[50.0]
-        assert mid is not None
-        # Smoothed-corner fit sits near the commanded radius.
-        assert abs(mid.radius - scenario.corner_radius) < 0.5
-        # The straights fit either no circle or a far larger one.
-        for frac in (20.0, 80.0):
-            fit = fits[frac]
-            assert fit is None or fit.radius > 3 * scenario.corner_radius
-
-    def test_lap_rows_carry_circle_columns(self, preset_trials):
-        _, _, _, result = preset_trials["TT01"]
-        for row in result.laps:
-            for key in ("circle_radius_20pct", "circle_radius_50pct",
-                        "circle_radius_80pct"):
-                assert key in row
-
-
 class TestNormalizeLap:
     def test_grid_and_corner(self, preset_trials):
         _, _, _, result = preset_trials["TT02"]
@@ -277,24 +251,20 @@ class TestNormalizeLap:
 class TestLapMetrics:
     def test_zero_motion_metrics_flagged(self):
         from swimlap.energetics import thrust_power
-        from swimlap.localization import curvature_radius, dead_reckon
 
         n = 100
         kin = synthetic_state(np.zeros(n), pitch_amp=0.0)
         power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth,
                              get_animal("TT01"))
-        track = dead_reckon(kin, (0.0, 0.0))
-        track.radius = curvature_radius(track, 0.2)
         ev = LapEvents(t_s=2.0, t_c=10.0, t_e=18.0, turn_start=9.0,
                        turn_end=11.0, start_idx=10, corner_idx=50,
                        end_idx=90)
         labels = np.full(n, REST, dtype=np.int8)
-        m = lap_metrics(kin, power, track, ev, labels, get_animal("TT01"))
+        m = lap_metrics(kin, power, ev, labels, get_animal("TT01"))
         assert m["path_length_m"] == 0.0
         assert m["peak_speed_ms"] == 0.0
         assert m["thrust_work_j"] == 0.0
         assert np.isnan(m["corner_radius_m"])
-        assert np.isnan(m["corner_fit_radius_m"])
         assert np.isnan(m["mean_cot"])
 
     def test_tt02_lap_duration_band(self, preset_trials):
@@ -356,12 +326,12 @@ class TestLapWindow:
     @settings(max_examples=30, deadline=None)
     def test_consumers_share_the_window(self, preset_trials, name, lap, cut):
         scenario, _, _, result = preset_trials[name]
-        kin, power, track = result.kin, result.power, result.track
+        kin, power = result.kin, result.power
         if cut is not None:
             # Recording stops mid-lap: the last lap runs to the end.
             ev = result.events[lap]
             n = ev.start_idx + int(cut * (ev.end_idx - ev.start_idx))
-            kin, power, track = (head(x, n) for x in (kin, power, track))
+            kin, power = head(kin, n), head(power, n)
         events = detect_laps(kin)
         labels = classify_phases(kin, events)
         if cut is not None:
@@ -371,7 +341,6 @@ class TestLapWindow:
         # The sample index as a channel shows which samples were read.
         idx = np.arange(len(kin), dtype=float)
         ramp = replace(power, p_thrust=idx)
-        parabola = Track(t=kin.t, x=idx, y=idx ** 2)
         in_lap = np.zeros(len(kin), dtype=bool)
         for ev in events:
             window = idx[ev.window]
@@ -381,21 +350,11 @@ class TestLapWindow:
             assert t[0] == ev.t_s < ev.turn_start
             assert ev.turn_end < t[-1] < ev.t_e
 
-            m = lap_metrics(kin, ramp, track, ev, labels, scenario.animal)
+            m = lap_metrics(kin, ramp, ev, labels, scenario.animal)
             assert m["peak_power_w"] == window[-1]
             assert m["mean_power_w"] == pytest.approx(window.mean())
 
             norm = normalize_lap({"i": idx}, kin.t, ev)
             assert norm.channels["i"][0] == window[0]
             assert norm.channels["i"][-1] == window[-1]
-
-            seen = []
-            with mock.patch("swimlap.segmentation.fit_circle",
-                            side_effect=lambda pts: seen.append(pts)
-                            or fit_circle(pts)):
-                # One percentage window spanning the whole lap.
-                corner_circle_fits(parabola, kin.t, ev, fractions=(50.0,),
-                                   width_pct=200.0)
-            xs = np.concatenate(seen)[:, 0]
-            assert xs.min() == window[0] and xs.max() == window[-1]
         assert np.array_equal(labels != REST, in_lap)
