@@ -1,30 +1,38 @@
-"""Quaternion attitude estimation from the 50 Hz inertial stream.
+"""Pitch and heading from the 50 Hz inertial stream and the speed sensor.
 
 Conventions (used consistently by the simulator and the tag pipeline):
   * world frame: x east, y north, z up
   * body frame: x forward, y left, z up
-  * quaternion (w, x, y, z) rotates body vectors into the world frame
   * Euler angles: yaw about world z, then pitch (positive nose-up), then
     roll about the body x axis; a level accelerometer reads (0, 0, +g).
 
-The fusion step is the standard gradient-descent AHRS update: gyroscope
-integration corrected toward the accelerometer gravity direction (and,
-when available, the magnetometer field direction) at rate ``beta``. With
-``beta = 0`` it reduces to pure gyro integration.
+Analysis is offline, so the filter is zero-phase: it sees the whole
+trial at once and fuses with centered moving averages, in the manner of
+the DTAG attitude estimate (Johnson & Tyack 2003). The accelerometer,
+with the swimmer's own acceleration removed by means of the speed sensor
+(the static/dynamic split of Wilson et al. 2006), gives pitch and roll;
+the tilt-compensated magnetometer gives heading. The gyroscope, turned
+into Euler rates and integrated, carries what changes faster than the
+averaging windows.
 
 Only pitch and unwrapped yaw are outputs, the two angles the
-dead-reckoned track needs; roll is used to seed the filter and inside the
-Euler conversion.
+dead-reckoned track needs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import TagSeries
+from .ingest import TagSeries, moving_average
+
+# Window of the speed smoothing before it is differentiated, in seconds.
+SPEED_WINDOW_S = 1.0
+# Window that averages pitch and roll, in seconds.
+TILT_WINDOW_S = 2.0
+# Window that averages the magnetometer heading, in seconds.
+HEADING_WINDOW_S = 4.0
 
 
 @dataclass
@@ -39,181 +47,69 @@ class OrientationSeries:
     yaw: np.ndarray
 
 
-# IMU samples that estimate_orientation converts to Python floats at once.
-# Whole arrays at once would hold about nine times their bytes.
-_BLOCK = 1024
-
-# Seconds of virtual updates on the first sample before the series starts.
-SETTLE_S = 1.0
-
-
-def euler_to_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Compose q = qz(yaw) * qy(-pitch) * qx(roll) (pitch positive nose-up)."""
-    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
-    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
-    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
-    return np.array([cy * cp * cr - sy * sp * sr,
-                     cy * cp * sr + sy * sp * cr,
-                     sy * cp * sr - cy * sp * cr,
-                     cy * sp * sr + sy * cp * cr])
+def _integrate(rate: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of ``rate`` over ``t``, from 0."""
+    out = np.empty_like(rate)
+    out[0] = 0.0
+    np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t), out=out[1:])
+    return out
 
 
-def quat_to_euler(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (roll, pitch, yaw) of unit quaternions ``q``, shape (4,) or (n, 4).
-
-    The inverse of :func:`euler_to_quat`; pitch is clamped at the +-pi/2
-    gimbal.
-    """
-    w, x, y, z = np.asarray(q, dtype=float).T
-    return (np.arctan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
-            np.arcsin(np.clip(2.0 * (x * z - w * y), -1.0, 1.0)),
-            np.arctan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)))
-
-
-def _ahrs_step(w: float, x: float, y: float, z: float,
-               gx: float, gy: float, gz: float,
-               ax: float, ay: float, az: float,
-               mag: list[float] | None, beta: float, dt: float
-               ) -> tuple[float, float, float, float]:
-    """One AHRS update on Python floats; returns the unit quaternion.
-
-    gyro in rad/s, accel in m/s^2 (any scale: only its direction is used),
-    ``mag`` is (mx, my, mz) in any consistent units, or None for
-    gyro+accel-only fusion. This is the only copy of the filter math.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    a_norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if a_norm == 0.0:
-        raise ValueError("zero-norm accelerometer vector")
-
-    dw = 0.5 * (-x * gx - y * gy - z * gz)
-    dx = 0.5 * (w * gx + y * gz - z * gy)
-    dy = 0.5 * (w * gy - x * gz + z * gx)
-    dz = 0.5 * (w * gz + x * gy - y * gx)
-
-    if beta > 0.0:
-        ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
-
-        # Gravity objective: predicted body-frame up minus measurement.
-        f1 = 2.0 * (x * z - w * y) - ax
-        f2 = 2.0 * (w * x + y * z) - ay
-        f3 = 1.0 - 2.0 * (x * x + y * y) - az
-        s_w = -2.0 * y * f1 + 2.0 * x * f2
-        s_x = 2.0 * z * f1 + 2.0 * w * f2 - 4.0 * x * f3
-        s_y = -2.0 * w * f1 + 2.0 * z * f2 - 4.0 * y * f3
-        s_z = 2.0 * x * f1 + 2.0 * y * f2
-
-        m_norm = 0.0
-        if mag is not None:
-            mx, my, mz = mag
-            m_norm = math.sqrt(mx * mx + my * my + mz * mz)
-        if m_norm > 0.0:
-            mx, my, mz = mx / m_norm, my / m_norm, mz / m_norm
-            # Earth-field reference: horizontal component along world +x.
-            # h = q (0, m) q*, the field rotated into the world frame.
-            pw = -x * mx - y * my - z * mz
-            px = w * mx + y * mz - z * my
-            py = w * my - x * mz + z * mx
-            pz = w * mz + x * my - y * mx
-            hx = -pw * x + px * w - py * z + pz * y
-            hy = -pw * y + px * z + py * w - pz * x
-            bx = math.sqrt(hx * hx + hy * hy)
-            bz = -pw * z - px * y + py * x + pz * w
-            # Predicted body-frame field for reference (bx, 0, bz).
-            p1 = bx * (1.0 - 2.0 * (y * y + z * z)) + bz * 2.0 * (x * z - w * y) - mx
-            p2 = bx * 2.0 * (x * y - w * z) + bz * 2.0 * (w * x + y * z) - my
-            p3 = bx * 2.0 * (x * z + w * y) + bz * (1.0 - 2.0 * (x * x + y * y)) - mz
-            s_w += (-2.0 * bz * y) * p1 + (-2.0 * bx * z + 2.0 * bz * x) * p2 \
-                + (2.0 * bx * y) * p3
-            s_x += (2.0 * bz * z) * p1 + (2.0 * bx * y + 2.0 * bz * w) * p2 \
-                + (2.0 * bx * z - 4.0 * bz * x) * p3
-            s_y += (-4.0 * bx * y - 2.0 * bz * w) * p1 \
-                + (2.0 * bx * x + 2.0 * bz * z) * p2 \
-                + (2.0 * bx * w - 4.0 * bz * y) * p3
-            s_z += (-4.0 * bx * z + 2.0 * bz * x) * p1 \
-                + (-2.0 * bx * w + 2.0 * bz * y) * p2 + (2.0 * bx * x) * p3
-
-        s_norm = math.sqrt(s_w * s_w + s_x * s_x + s_y * s_y + s_z * s_z)
-        if s_norm > 0.0:
-            dw -= beta * s_w / s_norm
-            dx -= beta * s_x / s_norm
-            dy -= beta * s_y / s_norm
-            dz -= beta * s_z / s_norm
-
-    w, x, y, z = w + dw * dt, x + dx * dt, y + dy * dt, z + dz * dt
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    if norm == 0.0:
-        raise ValueError("zero-norm quaternion")
-    return w / norm, x / norm, y / norm, z / norm
-
-
-def pose_from_measurements(accel: np.ndarray, mag: np.ndarray | None,
-                           fallback_heading: float = 0.0
-                           ) -> tuple[float, float, float]:
-    """Static (roll, pitch, yaw) implied by one accel (+ mag) sample.
-
-    Yaw is referenced to the horizontal field direction when a
-    magnetometer sample is given, otherwise ``fallback_heading``.
-    """
-    a = np.asarray(accel, dtype=float)
-    norm = math.sqrt(float(np.dot(a, a)))
-    if norm == 0.0:
-        raise ValueError("zero-norm accelerometer vector")
-    ax, ay, az = a / norm
-    pitch = math.asin(max(-1.0, min(1.0, ax)))
-    roll = math.atan2(ay, az)
-    yaw = fallback_heading
-    if mag is not None:
-        cp, sp = math.cos(pitch), math.sin(pitch)
-        cr, sr = math.cos(roll), math.sin(roll)
-        mx, my, mz = np.asarray(mag, dtype=float)
-        # De-rotate the field into the level frame, then take its bearing.
-        lx = cp * mx - sp * (sr * my + cr * mz)
-        ly = cr * my - sr * mz
-        yaw = math.atan2(-ly, lx)
-    return roll, pitch, yaw
-
-
-def estimate_orientation(tag: TagSeries, beta: float = 0.1,
+def estimate_orientation(tag: TagSeries,
                          initial_heading: float = 0.0) -> OrientationSeries:
-    """Run the AHRS over the full IMU stream of ``tag``.
+    """Estimate pitch and unwrapped yaw at every IMU sample of ``tag``.
 
-    The filter is seeded from the first accel/mag sample (heading falls
-    back to ``initial_heading`` without a magnetometer) and pre-settled
-    with :data:`SETTLE_S` worth of virtual updates so the series starts
-    converged. A tag without magnetometer cells runs gyro+accel only.
+    The tag's speed, smoothed over :data:`SPEED_WINDOW_S` on its own grid,
+    removes the body's acceleration along and across its path from the
+    accelerometer. Pitch is the integrated gyro pitch rate plus the
+    :data:`TILT_WINDOW_S` average of its offset from the accelerometer
+    pitch. Yaw is the integrated yaw rate plus the
+    :data:`HEADING_WINDOW_S` average of its offset from the magnetometer
+    heading, or plus ``initial_heading`` for a tag without one.
+    Temporaries are freed as soon as they are used: at 50 Hz a trial's
+    full-length arrays add up.
     """
     n = tag.n_imu
     if n < 2:
         raise ValueError("need at least 2 IMU samples")
     t = tag.t_imu
-    mag_series = tag.mag
+    dt = float(t[-1] - t[0]) / (n - 1)
+    _, gy, gz = tag.gyro.T
 
-    mag0 = mag_series[0].tolist() if mag_series is not None else None
-    accel0 = tag.accel[0].tolist()
-    w, x, y, z = euler_to_quat(*pose_from_measurements(
-        accel0, mag0, initial_heading)).tolist()
-    beta = float(beta)
-    dt0 = float(t[1] - t[0])
-    n_settle = int(round(SETTLE_S / dt0)) if beta > 0.0 else 0
-    for _ in range(n_settle):
-        w, x, y, z = _ahrs_step(w, x, y, z, 0.0, 0.0, 0.0, *accel0, mag0,
-                                beta, dt0)
+    dt_slow = float(tag.t_slow[-1] - tag.t_slow[0]) / (tag.n_slow - 1)
+    v_slow = moving_average(tag.speed, SPEED_WINDOW_S, dt_slow)
+    dv = np.interp(t, tag.t_slow, np.gradient(v_slow, tag.t_slow))
+    ax = tag.accel[:, 0] - dv
+    del dv
+    v = np.interp(t, tag.t_slow, v_slow)
+    ay = tag.accel[:, 1] - v * gz
+    az = tag.accel[:, 2] + v * gy
+    del v
+    norm = np.sqrt(ax * ax + ay * ay + az * az)
+    if not np.all(norm > 0.0):
+        raise ValueError("zero-norm accelerometer vector")
+    pitch_acc = np.arcsin(np.clip(ax / norm, -1.0, 1.0))
+    del ax, norm
+    roll = moving_average(np.unwrap(np.arctan2(ay, az)), TILT_WINDOW_S, dt)
+    del ay, az
+    sin_r, cos_r = np.sin(roll), np.cos(roll)
+    del roll
 
-    pitch, yaw = np.empty(n), np.empty(n)
-    _, pitch[0], yaw[0] = quat_to_euler((w, x, y, z))
-    for i0 in range(1, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        mags = (mag_series[i0:i1].tolist() if mag_series is not None
-                else [None] * (i1 - i0))
-        block = []
-        for (gx, gy, gz), (ax, ay, az), mag, dt in zip(
-                tag.gyro[i0:i1].tolist(), tag.accel[i0:i1].tolist(), mags,
-                np.diff(t[i0 - 1:i1]).tolist()):
-            w, x, y, z = _ahrs_step(w, x, y, z, gx, gy, gz, ax, ay, az, mag,
-                                    beta, dt)
-            block.append((w, x, y, z))
-        _, pitch[i0:i1], yaw[i0:i1] = quat_to_euler(block)
+    pitch = _integrate(gz * sin_r - gy * cos_r, t)
+    pitch_acc -= pitch  # in place: the accelerometer's offset from the gyro
+    pitch += moving_average(pitch_acc, TILT_WINDOW_S, dt)
+    del pitch_acc
+    cos_p = np.cos(pitch)
+    yaw = _integrate((gy * sin_r + gz * cos_r) / cos_p, t)
+    if tag.mag is None:
+        return OrientationSeries(t=t, pitch=pitch, yaw=yaw + initial_heading)
 
-    return OrientationSeries(t=t, pitch=pitch, yaw=np.unwrap(yaw))
+    mx, my, mz = tag.mag.T
+    # Level the field with pitch and roll; its bearing is the heading.
+    level_x = cos_p * mx - np.sin(pitch) * (sin_r * my + cos_r * mz)
+    level_y = cos_r * my - sin_r * mz
+    del sin_r, cos_r, cos_p
+    offset = np.arctan2(-level_y, level_x) - yaw
+    del level_x, level_y
+    yaw += moving_average(np.unwrap(offset), HEADING_WINDOW_S, dt)
+    return OrientationSeries(t=t, pitch=pitch, yaw=yaw)

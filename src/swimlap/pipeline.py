@@ -83,7 +83,6 @@ class RunConfig:
     jobs: int = 1
     schema: dict | None = None
     dt: float = 0.2
-    beta: float = 0.1
     initial_heading_deg: float = 0.0
     segmentation: SegmentationConfig = SegmentationConfig()
 
@@ -93,7 +92,6 @@ class RunConfig:
                 ("jobs", type(self.jobs) is int and self.jobs >= 1,
                  "an integer >= 1"),
                 ("dt", 0.0 < self.dt < inf, "finite and positive"),
-                ("beta", 0.0 <= self.beta < inf, "finite and >= 0"),
                 ("initial_heading_deg", abs(self.initial_heading_deg) < inf,
                  "finite")):
             if not ok:
@@ -195,8 +193,7 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
     """Run the full estimation chain on one parsed tag series."""
     t = master_timeline(tag, cfg.dt)
     orient = estimate_orientation(
-        tag, beta=cfg.beta,
-        initial_heading=math.radians(cfg.initial_heading_deg))
+        tag, initial_heading=math.radians(cfg.initial_heading_deg))
     kin = compute_kinematics(
         resample_linear(tag.t_slow, tag.speed, t),
         resample_linear(orient.t, orient.pitch, t),

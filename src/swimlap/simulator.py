@@ -304,7 +304,7 @@ class _TrialState:
         v_meas = v_xy / cos_t
         a_t = dv_xy / cos_t + v_xy * dtheta * np.sin(theta) / cos_t ** 2
 
-        psi, omega, px, py = self._geometry(t, s, v_xy, yawt, x, ssd, dur, t0)
+        psi, omega, px, py = self._geometry(t, s, v_xy, yawt, x, ssd, dur, idx)
         return {
             "t": t, "x": px, "y": py, "v_meas": v_meas, "v_xy": v_xy,
             "psi": psi, "theta": theta, "dtheta": dtheta, "depth": depth,
@@ -338,7 +338,7 @@ class _TrialState:
                                + env * 2.0 * math.pi * freq * np.cos(phase))
         return theta, dtheta
 
-    def _geometry(self, t, s, v_xy, yaw_turn, x, ssd, dur, t0):
+    def _geometry(self, t, s, v_xy, yaw_turn, x, ssd, dur, idx):
         scn = self.scn
         s_len, radius = scn.straight_length, scn.corner_radius
         psi = np.empty_like(t)
@@ -346,10 +346,12 @@ class _TrialState:
         px = np.empty_like(t)
         py = np.empty_like(t)
 
-        lap_of_t = np.clip(
-            np.searchsorted(
-                [a[3] for a in self.lap_anchor], s, side="right") - 1,
-            0, len(self.lap_anchor) - 1)
+        # Each sample takes the lap of its phase, and a station pause the
+        # lap it turns toward. The lap cannot come from s: in a pause s
+        # equals the next lap's anchor only up to rounding.
+        lap_of_t = np.minimum(
+            np.cumsum([ph.yaw_turn != 0.0 for ph in self.phases]),
+            len(self.lap_anchor) - 1)[idx]
         # Stationary phases: position pinned to the surrounding lap anchors.
         for k, (pos, heading, sign, s_lap0) in enumerate(self.lap_anchor):
             m = lap_of_t == k

@@ -124,4 +124,5 @@ class TestSamplePeriod:
         assert result.kin.dt == cfg.dt
         assert result.kin.t[1] - result.kin.t[0] != cfg.dt
         assert len(result.laps) == 2
-        assert [lap["transient_s"] for lap in result.laps] == [12.0, 12.0]
+        assert [lap["transient_s"] for lap in result.laps] == [
+            61 * cfg.dt, 60 * cfg.dt]

@@ -14,7 +14,7 @@ LAGOON_ORIGIN = (21.27, -157.77)
 # The method's fixed constants, once config keys, with their old defaults:
 # a config that sets one is refused for the key alone.
 REMOVED_KEYS = {
-    "use_mag": True, "smooth_window_s": 1.0,
+    "use_mag": True, "beta": 0.1, "smooth_window_s": 1.0,
     "gamma_table": [[0.5, 2.5], [3.0, 1.0]], "v_min_cot": 0.05,
     "grid_n": 201, "segmentation.start_sustain_s": 1.0,
     "segmentation.end_sustain_s": 2.0, "segmentation.theta_osc": 0.0872664626,
@@ -396,12 +396,12 @@ class TestConfigHash:
 
     def test_default_hash_pinned(self, tmp_path):
         # The hash basis is every field but jobs, the paths, the origin and
-        # the column map: the animal, dt, beta, initial_heading_deg and the
+        # the column map: the animal, dt, initial_heading_deg and the
         # two segmentation thresholds.
         raw = self.base(tmp_path)
         raw["animal"] = "TT03"
         assert RunConfig.from_dict(raw).config_hash() == (
-            "5782293593130d98e089441a2e00310384227d8975d04d55bb024e5e981be8ed")
+            "13124ee282f817cdae320c9bbfe84bc5a78db730b3965cc02eca8a6a8aa35b68")
 
     def test_manifest_records_schema(self, sim_dir, run_dir, tmp_path):
         lines = read(sim_dir / "tag.csv").splitlines(keepends=True)

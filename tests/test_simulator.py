@@ -101,6 +101,15 @@ class TestGroundTruth:
         assert truth.y.max() <= 2 * scn.corner_radius + 1e-6
         assert truth.y.min() >= -1e-6
 
+    @pytest.mark.parametrize("preset", ["TT01", "TT02", "TT03"])
+    def test_heading_continuous_through_station_pauses(self, preset):
+        # psi' = omega, so no step of psi exceeds max|omega| * dt. A
+        # station pause drawn on the lap it ends used to jump by pi.
+        scn = preset_scenario(preset, n_laps=64, seed=7)
+        truth = generate_truth(scn)
+        limit = np.abs(truth.omega).max() / scn.slow_rate + 1e-6
+        assert np.abs(np.diff(truth.psi)).max() <= limit
+
     def test_depth_profile_bounds(self):
         scn = LapScenario(animal=TT01)
         truth = generate_truth(scn)
