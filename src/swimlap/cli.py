@@ -20,6 +20,7 @@ from .simulator import (
     LapScenario,
     NoiseSpec,
     ScenarioError,
+    build_lap_phases,
     generate_truth,
     preset_scenario,
     synthesize_tag,
@@ -37,12 +38,21 @@ def scenario_from_dict(raw: dict) -> LapScenario:
     data = dict(raw)
     preset = data.pop("preset", None)
     animal = data.pop("animal", None)
+    unknown = sorted(set(data) - set(LapScenario.__dataclass_fields__)
+                     - {"fluke_amp_deg"})
+    if unknown:
+        raise ScenarioError(f"unknown scenario keys: {unknown}")
     if "fluke_amp_deg" in data:
-        data["fluke_amp"] = math.radians(float(data.pop("fluke_amp_deg")))
-    if "noise" in data and data["noise"] is not None:
-        data["noise"] = NoiseSpec(**data["noise"])
-    if "p0" in data and data["p0"] is not None:
-        data["p0"] = tuple(float(v) for v in data["p0"])
+        deg = data.pop("fluke_amp_deg")
+        if not (type(deg) in (int, float) and 0.0 <= deg < 90.0):
+            raise ScenarioError(
+                f"fluke_amp_deg must be in [0, 90), got {deg!r}")
+        data["fluke_amp"] = math.radians(deg)
+    noise = data.get("noise")
+    if noise is not None:
+        if not isinstance(noise, dict):
+            raise ScenarioError(f"noise must be a mapping, got {noise!r}")
+        data["noise"] = NoiseSpec(**noise)
     if preset is not None:
         return preset_scenario(preset, **data)
     if isinstance(animal, dict):
@@ -55,29 +65,28 @@ def scenario_from_dict(raw: dict) -> LapScenario:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        path = Path(args.scenario)
-        if not path.exists():
-            print(f"error: scenario file not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
-        raw = yaml.safe_load(path.read_text()) or {}
-        if not isinstance(raw, dict):
-            print(f"error: scenario file {path} is not a mapping",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    elif args.preset is not None:
-        raw = {"preset": args.preset}
-    else:
+    if args.scenario is None and args.preset is None:
         print("error: provide --scenario or --preset", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.laps is not None:
-        raw["n_laps"] = args.laps
     try:
+        raw = {"preset": args.preset}
+        if args.scenario is not None:
+            with open(args.scenario) as fh:
+                raw = yaml.safe_load(fh) or {}
+            if not isinstance(raw, dict):
+                raise ScenarioError(
+                    f"scenario file {args.scenario} is not a mapping")
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.laps is not None:
+            raw["n_laps"] = args.laps
         scenario = scenario_from_dict(raw)
-    except (ScenarioError, TypeError, KeyError, ValueError) as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
+        build_lap_phases(scenario)  # infeasible geometry raises here
+    except (ScenarioError, TypeError, KeyError, ValueError, OSError,
+            yaml.YAMLError) as exc:
+        # One line, however many the message spans (a YAML error's do).
+        print(f"error: invalid scenario: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return EXIT_USAGE
 
     out = Path(args.output_dir)

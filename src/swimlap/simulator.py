@@ -10,14 +10,16 @@ acceleration) are evaluated analytically, never by differencing.
 
 Tag synthesis emits the 50 Hz inertial stream (gyro, specific force,
 magnetic field in the body frame) and the 5 Hz depth/speed stream, with
-independent seeded Gaussian noise per channel.
+independent seeded Gaussian noise per channel. The course starts at the
+origin heading east; lap k runs out along y = 2R (k % 2) and back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+import numbers
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +28,24 @@ from .ingest import (CSV_COLUMNS, IMU_FIELDS, MAG_FIELDS, TagSeries,
                      write_table)
 from .params import AnimalParams, get_animal
 
+IMU_RATE_HZ = 50.0
+SLOW_RATE_HZ = 5.0
 MAG_INCLINATION = math.radians(40.0)
 ENVELOPE_RAMP_S = 0.4
 
 
 class ScenarioError(ValueError):
-    """Raised when a scenario's speed profile cannot fit its geometry."""
+    """Raised on an invalid scenario setting or an infeasible profile."""
+
+
+def _check(obj, names, ok, need: str, prefix: str = "") -> None:
+    """Reject the first of ``names`` that is not a number passing ``ok``."""
+    for name in names:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not ok(value)):
+            raise ScenarioError(
+                f"{prefix}{name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +57,11 @@ class NoiseSpec:
     mag: float = 0.0     # unit field
     depth: float = 0.0   # m
     speed: float = 0.0   # m/s
+
+    def __post_init__(self) -> None:
+        _check(self, [f.name for f in fields(self)],
+               lambda v: 0.0 <= v < math.inf, "a finite number >= 0",
+               prefix="noise.")
 
 
 @dataclass(frozen=True)
@@ -69,27 +88,28 @@ class LapScenario:
     station_pause_s: float = 6.0    # s of rest (with turn-around) after laps
     noise: NoiseSpec = NoiseSpec()
     seed: int = 0
-    imu_rate: float = 50.0          # Hz
-    slow_rate: float = 5.0          # Hz
-    p0: tuple[float, float] = (0.0, 0.0)
-    heading0: float = 0.0           # rad
 
     def __post_init__(self) -> None:
-        positive = ("straight_length", "corner_radius", "cruise_speed",
-                    "corner_speed", "accel", "glide_decel", "fluke_freq",
-                    "imu_rate", "slow_rate")
-        for name in positive:
-            if getattr(self, name) <= 0.0:
-                raise ScenarioError(f"infeasible profile: {name} must be > 0")
+        inf, whole = math.inf, numbers.Integral
+        for names, ok, need in (
+                (("straight_length", "corner_radius", "cruise_speed",
+                  "corner_speed", "accel", "glide_decel", "fluke_freq"),
+                 lambda v: 0.0 < v < inf, "a finite number > 0"),
+                (("depth_station", "depth_out", "depth_corner", "depth_return",
+                  "lead_in_s", "station_pause_s", "corner_buffer_s"),
+                 lambda v: 0.0 <= v < inf, "a finite number >= 0"),
+                # cos(pitch) divides the measured speed.
+                (("fluke_amp",), lambda v: 0.0 <= v < 0.5 * math.pi,
+                 "in [0, pi/2) rad"),
+                (("speed_jitter",), lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                (("n_laps",), lambda v: isinstance(v, whole) and v >= 1,
+                 "an integer >= 1"),
+                (("seed",), lambda v: isinstance(v, whole) and v >= 0,
+                 "an integer >= 0")):
+            _check(self, names, ok, need)
         if self.corner_speed > self.cruise_speed:
             raise ScenarioError(
                 "infeasible profile: corner_speed exceeds cruise_speed")
-        if self.n_laps < 1:
-            raise ScenarioError("n_laps must be >= 1")
-        for name in ("depth_station", "depth_out", "depth_corner",
-                     "depth_return"):
-            if getattr(self, name) < 0.0:
-                raise ScenarioError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,6 +125,8 @@ class Phase:
     yaw_turn: float = 0.0   # heading change while stationary, rad
     t0: float = 0.0         # absolute start time, filled at assembly
     s0: float = 0.0         # cumulative planar distance at start
+    lap: int = 0            # lap the phase is drawn on, filled at assembly
+    corner: bool = False    # the lap's 180-deg arc
 
     @property
     def distance(self) -> float:
@@ -149,18 +171,12 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_d(x: np.ndarray) -> np.ndarray:
-    xc = np.clip(x, 0.0, 1.0)
-    inside = (x >= 0.0) & (x <= 1.0)
-    return np.where(inside, 6.0 * xc * (1.0 - xc), 0.0)
+    x = np.clip(x, 0.0, 1.0)
+    return 6.0 * x * (1.0 - x)
 
 
-def _smoothstep_dd(x: np.ndarray) -> np.ndarray:
-    xc = np.clip(x, 0.0, 1.0)
-    inside = (x >= 0.0) & (x <= 1.0)
-    return np.where(inside, 6.0 - 12.0 * xc, 0.0)
-
-
-def _one_lap_phases(scn: LapScenario, v_c: float, v_t: float) -> list[Phase]:
+def _one_lap_phases(scn: LapScenario, v_c: float, v_t: float,
+                    lap: int) -> list[Phase]:
     s_len = scn.straight_length
     t_accel = 1.5 * v_c / scn.accel
     t_brake = 1.5 * (v_c - v_t) / scn.accel if v_c > v_t else 0.0
@@ -187,22 +203,26 @@ def _one_lap_phases(scn: LapScenario, v_c: float, v_t: float) -> list[Phase]:
 
     ds, do, dc, dr = (scn.depth_station, scn.depth_out, scn.depth_corner,
                       scn.depth_return)
-    lap: list[Phase] = [
+    phases: list[Phase] = [
         Phase(t_accel, 0.0, v_c, True, ds, do),
         Phase(max(d_out_cruise, 0.0) / v_c, v_c, v_c, True, do, do),
         Phase(t_brake, v_c, v_t, True, do, dc),
         Phase(scn.corner_buffer_s, v_t, v_t, True, dc, dc),
-        Phase(arc_len / v_t, v_t, v_t, True, dc, dc),
+        Phase(arc_len / v_t, v_t, v_t, True, dc, dc, corner=True),
         Phase(scn.corner_buffer_s, v_t, v_t, True, dc, dc),
         Phase(t_brake, v_t, v_c, True, dc, dr),
         Phase(max(d_ret_cruise, 0.0) / v_c, v_c, v_c, True, dr, dr),
         Phase(t_glide, v_c, 0.0, False, dr, ds),
     ]
-    return [ph for ph in lap if ph.duration > 0.0]
+    return [replace(ph, lap=lap) for ph in phases if ph.duration > 0.0]
 
 
 def build_lap_phases(scn: LapScenario) -> list[Phase]:
-    """Assemble the trial's phase list; raises on infeasible geometry."""
+    """Assemble the trial's phase list; raises on infeasible geometry.
+
+    A station pause is drawn on the lap it turns toward; the pause after
+    the last lap takes lap ``n_laps``, whose course is its start point.
+    """
     ds = scn.depth_station
     factors = np.ones(scn.n_laps)
     if scn.speed_jitter > 0.0:
@@ -210,13 +230,12 @@ def build_lap_phases(scn: LapScenario) -> list[Phase]:
         factors += scn.speed_jitter * rng.uniform(-1.0, 1.0, scn.n_laps)
 
     phases: list[Phase] = [Phase(scn.lead_in_s, 0.0, 0.0, False, ds, ds)]
-    sign = 1.0
     for k in range(scn.n_laps):
         phases.extend(_one_lap_phases(scn, scn.cruise_speed * factors[k],
-                                      scn.corner_speed * factors[k]))
+                                      scn.corner_speed * factors[k], k))
         phases.append(Phase(scn.station_pause_s, 0.0, 0.0, False, ds, ds,
-                            yaw_turn=sign * math.pi))
-        sign = -sign
+                            yaw_turn=math.pi * (1 - 2 * (k % 2)),
+                            lap=k + 1))
 
     t_cum = s_cum = 0.0
     stamped = []
@@ -227,213 +246,123 @@ def build_lap_phases(scn: LapScenario) -> list[Phase]:
     return stamped
 
 
-def _fluking_intervals(phases: list[Phase]) -> list[tuple[float, float]]:
-    spans = []
-    for ph in phases:
-        if not ph.fluking:
-            continue
-        t1 = ph.t0 + ph.duration
-        if spans and abs(spans[-1][1] - ph.t0) < 1e-9:
-            spans[-1][1] = t1
-        else:
-            spans.append([ph.t0, t1])
-    return [(a, b) for a, b in spans]
-
-
-class _TrialState:
-    """Vectorized analytic evaluation of the trial at arbitrary times."""
-
-    def __init__(self, scn: LapScenario, phases: list[Phase]):
-        self.scn = scn
-        self.phases = phases
-        self.t_starts = np.array([ph.t0 for ph in phases])
-        self.t_total = phases[-1].t0 + phases[-1].duration
-        self.fluke_spans = _fluking_intervals(phases)
-        self.arc_len = math.pi * scn.corner_radius
-        self.lap_planar = 2.0 * scn.straight_length + self.arc_len
-
-        # Per-lap anchors: start position, outgoing heading, turn sign,
-        # planar distance at lap start; a terminal anchor pins the state
-        # after the last lap.
-        self.lap_anchor = []
-        pos = np.array(scn.p0, dtype=float)
-        heading = scn.heading0
-        sign = 1.0
-        for k in range(scn.n_laps):
-            self.lap_anchor.append((pos.copy(), heading, sign,
-                                    k * self.lap_planar))
-            normal = np.array([-math.sin(heading), math.cos(heading)])
-            pos = pos + 2.0 * scn.corner_radius * sign * normal
-            heading = heading + 2.0 * sign * math.pi
-            sign = -sign
-        self.lap_anchor.append((pos.copy(), heading, 1.0,
-                                scn.n_laps * self.lap_planar))
-
-    def _phase_index(self, t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.t_starts, t, side="right") - 1
-        return np.clip(idx, 0, len(self.phases) - 1)
-
-    def evaluate(self, t: np.ndarray) -> dict[str, np.ndarray]:
-        t = np.asarray(t, dtype=float)
-        idx = self._phase_index(t)
-        dur = np.array([ph.duration for ph in self.phases])[idx]
-        v0 = np.array([ph.v0 for ph in self.phases])[idx]
-        v1 = np.array([ph.v1 for ph in self.phases])[idx]
-        d0 = np.array([ph.depth0 for ph in self.phases])[idx]
-        d1 = np.array([ph.depth1 for ph in self.phases])[idx]
-        yawt = np.array([ph.yaw_turn for ph in self.phases])[idx]
-        t0 = self.t_starts[idx]
-        s0 = np.array([ph.s0 for ph in self.phases])[idx]
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.where(dur > 0.0, (t - t0) / dur, 1.0)
-        x = np.clip(x, 0.0, 1.0)
-        ss, ssd, ssdd = _smoothstep(x), _smoothstep_d(x), _smoothstep_dd(x)
-        v_xy = v0 + (v1 - v0) * ss
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dv_xy = np.where(dur > 0.0, (v1 - v0) * ssd / dur, 0.0)
-        # Closed-form planar distance within the phase.
-        s_local = dur * (v0 * x + (v1 - v0) * (x ** 3 - 0.5 * x ** 4))
-        s = s0 + s_local
-        depth = d0 + (d1 - d0) * ss
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dddepth = np.where(dur > 0.0, (d1 - d0) * ssdd / dur ** 2, 0.0)
-
-        theta, dtheta = self._pitch(t)
-        cos_t = np.cos(theta)
-        v_meas = v_xy / cos_t
-        a_t = dv_xy / cos_t + v_xy * dtheta * np.sin(theta) / cos_t ** 2
-
-        psi, omega, px, py = self._geometry(t, s, v_xy, yawt, x, ssd, dur, idx)
-        return {
-            "t": t, "x": px, "y": py, "v_meas": v_meas, "v_xy": v_xy,
-            "psi": psi, "theta": theta, "dtheta": dtheta, "depth": depth,
-            "dddepth": dddepth, "a_t": a_t,
-            "omega": omega, "a_n": omega * v_meas, "dv_xy": dv_xy,
-        }
-
-    def _pitch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        amp = self.scn.fluke_amp
-        freq = self.scn.fluke_freq
-        theta = np.zeros_like(t)
-        dtheta = np.zeros_like(t)
-        if amp == 0.0:
-            return theta, dtheta
-        ramp = ENVELOPE_RAMP_S
-        for t_on, t_off in self.fluke_spans:
-            m = (t >= t_on) & (t <= t_off)
-            if not m.any():
-                continue
-            tt = t[m]
-            r = min(ramp, 0.5 * (t_off - t_on))
-            eu = _smoothstep((tt - t_on) / r)
-            eu_d = _smoothstep_d((tt - t_on) / r) / r
-            ed = _smoothstep((t_off - tt) / r)
-            ed_d = -_smoothstep_d((t_off - tt) / r) / r
-            env = eu * ed
-            env_d = eu_d * ed + eu * ed_d
-            phase = 2.0 * math.pi * freq * (tt - t_on)
-            theta[m] = amp * env * np.sin(phase)
-            dtheta[m] = amp * (env_d * np.sin(phase)
-                               + env * 2.0 * math.pi * freq * np.cos(phase))
+def _pitch(scn: LapScenario, phases: list[Phase],
+           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pitch and its rate: one fluking span per lap, up to its glide."""
+    theta = np.zeros_like(t)
+    dtheta = np.zeros_like(t)
+    if scn.fluke_amp == 0.0:
         return theta, dtheta
+    # A lap flukes from its start from rest to the start of its glide.
+    t_on = np.array([ph.t0 for ph in phases if ph.fluking and ph.v0 == 0.0])
+    t_off = np.array([ph.t0 for ph in phases
+                      if not ph.fluking and ph.v0 > 0.0])
+    span = np.searchsorted(t_on, t, side="right") - 1
+    m = (span >= 0) & (t <= t_off[np.maximum(span, 0)])
+    tt, on, off = t[m], t_on[span[m]], t_off[span[m]]
+    r = np.minimum(ENVELOPE_RAMP_S, 0.5 * (off - on))
+    eu = _smoothstep((tt - on) / r)
+    eu_d = _smoothstep_d((tt - on) / r) / r
+    ed = _smoothstep((off - tt) / r)
+    ed_d = -_smoothstep_d((off - tt) / r) / r
+    env = eu * ed
+    env_d = eu_d * ed + eu * ed_d
+    amp, freq = scn.fluke_amp, scn.fluke_freq
+    phase = 2.0 * math.pi * freq * (tt - on)
+    theta[m] = amp * env * np.sin(phase)
+    dtheta[m] = amp * (env_d * np.sin(phase)
+                       + env * 2.0 * math.pi * freq * np.cos(phase))
+    return theta, dtheta
 
-    def _geometry(self, t, s, v_xy, yaw_turn, x, ssd, dur, idx):
-        scn = self.scn
-        s_len, radius = scn.straight_length, scn.corner_radius
-        psi = np.empty_like(t)
-        omega = np.zeros_like(t)
-        px = np.empty_like(t)
-        py = np.empty_like(t)
 
-        # Each sample takes the lap of its phase, and a station pause the
-        # lap it turns toward. The lap cannot come from s: in a pause s
-        # equals the next lap's anchor only up to rounding.
-        lap_of_t = np.minimum(
-            np.cumsum([ph.yaw_turn != 0.0 for ph in self.phases]),
-            len(self.lap_anchor) - 1)[idx]
-        # Stationary phases: position pinned to the surrounding lap anchors.
-        for k, (pos, heading, sign, s_lap0) in enumerate(self.lap_anchor):
-            m = lap_of_t == k
-            if not m.any():
-                continue
-            sl = np.clip(s[m] - s_lap0, 0.0, self.lap_planar)
-            direc = np.array([math.cos(heading), math.sin(heading)])
-            normal = np.array([-math.sin(heading), math.cos(heading)])
-            entry = pos + s_len * direc
-            center = entry + radius * sign * normal
+def _evaluate(scn: LapScenario, phases: list[Phase],
+              t: np.ndarray) -> dict[str, np.ndarray]:
+    """The trial's exact state at times ``t``, vectorized over samples."""
+    idx = np.searchsorted([ph.t0 for ph in phases], t, side="right") - 1
+    idx = np.clip(idx, 0, len(phases) - 1)
 
-            p = np.empty((len(sl), 2))
-            h = np.empty(len(sl))
-            w = np.zeros(len(sl))
+    dur, v0, v1, t0, s0, d0, d1, yaw_turn, lap = (
+        np.array([getattr(ph, name) for ph in phases])[idx] for name in (
+            "duration", "v0", "v1", "t0", "s0", "depth0", "depth1",
+            "yaw_turn", "lap"))
 
-            straight1 = sl < s_len
-            arc = (sl >= s_len) & (sl < s_len + self.arc_len)
-            straight2 = sl >= s_len + self.arc_len
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = np.where(dur > 0.0, (t - t0) / dur, 1.0)
+    x = np.clip(x, 0.0, 1.0)
+    ss, ssd, ssdd = _smoothstep(x), _smoothstep_d(x), 6.0 - 12.0 * x
+    v_xy = v0 + (v1 - v0) * ss
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dv_xy = np.where(dur > 0.0, (v1 - v0) * ssd / dur, 0.0)
+        dddepth = np.where(dur > 0.0, (d1 - d0) * ssdd / dur ** 2, 0.0)
+        dyaw = np.where(dur > 0.0, yaw_turn * ssd / dur, 0.0)
+    # Closed-form planar distance within the phase.
+    s = s0 + dur * (v0 * x + (v1 - v0) * (x ** 3 - 0.5 * x ** 4))
+    depth = d0 + (d1 - d0) * ss
 
-            p[straight1] = pos + np.outer(sl[straight1], direc)
-            h[straight1] = heading
+    theta, dtheta = _pitch(scn, phases, t)
+    cos_t = np.cos(theta)
+    v_meas = v_xy / cos_t
+    a_t = dv_xy / cos_t + v_xy * dtheta * np.sin(theta) / cos_t ** 2
 
-            phi = (sl[arc] - s_len) / radius
-            ang0 = math.atan2(entry[1] - center[1], entry[0] - center[0])
-            ang = ang0 + sign * phi
-            p[arc, 0] = center[0] + radius * np.cos(ang)
-            p[arc, 1] = center[1] + radius * np.sin(ang)
-            h[arc] = heading + sign * phi
-            w[arc] = sign * v_xy[m][arc] / radius
+    # The course in the distance into the lap: out along y = 2R odd,
+    # a half turn toward the other side, and back.
+    length, radius = scn.straight_length, scn.corner_radius
+    arc_len = math.pi * radius
+    lap_len = 2.0 * length + arc_len
+    odd = lap % 2
+    sign = 1 - 2 * odd
+    sl = np.clip(s - lap * lap_len, 0.0, lap_len)
+    phi = np.clip((sl - length) / radius, 0.0, math.pi)
+    px = (np.minimum(sl, length) + radius * np.sin(phi)
+          - np.maximum(sl - length - arc_len, 0.0))
+    py = 2.0 * radius * odd + sign * radius * (1.0 - np.cos(phi))
+    on_arc = (sl >= length) & (sl < length + arc_len)
+    omega = np.where(on_arc, sign * v_xy / radius, 0.0)
+    # Station turn-around: yaw sweeps into the lap's heading while the
+    # position holds.
+    hold = yaw_turn != 0.0
+    psi = 2.0 * math.pi * odd + sign * phi + np.where(
+        hold, yaw_turn * (ss - 1.0), 0.0)
+    omega = np.where(hold, dyaw, omega)
+    return {
+        "t": t, "x": px, "y": py, "v_meas": v_meas, "v_xy": v_xy,
+        "psi": psi, "theta": theta, "dtheta": dtheta, "depth": depth,
+        "dddepth": dddepth, "a_t": a_t,
+        "omega": omega, "a_n": omega * v_meas, "dv_xy": dv_xy,
+    }
 
-            back = heading + sign * math.pi
-            exit_pt = 2.0 * center - entry
-            bdir = np.array([math.cos(back), math.sin(back)])
-            p[straight2] = exit_pt + np.outer(
-                sl[straight2] - s_len - self.arc_len, bdir)
-            h[straight2] = back
 
-            px[m], py[m] = p[:, 0], p[:, 1]
-            psi[m] = h
-            omega[m] = w
-
-        # Station turn-around: yaw sweeps into the next lap's heading while
-        # the position holds (geometry already reports the post-turn value).
-        hold = yaw_turn != 0.0
-        if hold.any():
-            psi[hold] = psi[hold] + yaw_turn[hold] * (_smoothstep(x[hold]) - 1.0)
-            omega[hold] = yaw_turn[hold] * ssd[hold] / dur[hold]
-        return psi, omega, px, py
+def _time_grid(phases: list[Phase], rate: float) -> np.ndarray:
+    t_total = phases[-1].t0 + phases[-1].duration
+    dt = 1.0 / rate
+    return np.arange(int(math.floor(t_total / dt)) + 1) * dt
 
 
 def generate_truth(scenario: LapScenario) -> GroundTruth:
     """Evaluate the scenario's exact state on the 5 Hz master timeline."""
     phases = build_lap_phases(scenario)
-    state = _TrialState(scenario, phases)
-    dt = 1.0 / scenario.slow_rate
-    n = int(math.floor(state.t_total / dt)) + 1
-    t = np.arange(n) * dt
-    ch = state.evaluate(t)
+    t = _time_grid(phases, SLOW_RATE_HZ)
+    ch = _evaluate(scenario, phases, t)
 
     laps = []
-    motion = [ph for ph in phases if not (ph.v0 == ph.v1 == 0.0)]
-    per_lap = len(motion) // scenario.n_laps
-    for k in range(scenario.n_laps):
-        lap_phases = motion[k * per_lap:(k + 1) * per_lap]
-        arc_phase = next(
-            ph for ph in lap_phases
-            if abs(ph.s0 - (k * state.lap_planar + scenario.straight_length))
-            < 1e-6 and ph.v0 == ph.v1)
-        t_apex = arc_phase.t0 + (0.5 * state.arc_len) / arc_phase.v0
+    motion = (ph for ph in phases if not (ph.v0 == ph.v1 == 0.0))
+    for k, group in groupby(motion, key=lambda ph: ph.lap):
+        lap = list(group)
+        arc = next(ph for ph in lap if ph.corner)
         laps.append(TruthLap(
             index=k,
-            t_motion_start=lap_phases[0].t0,
-            t_apex=t_apex,
-            t_motion_end=lap_phases[-1].t0 + lap_phases[-1].duration,
-            turn_sign=state.lap_anchor[k][2],
+            t_motion_start=lap[0].t0,
+            t_apex=arc.t0 + 0.5 * arc.duration,
+            t_motion_end=lap[-1].t0 + lap[-1].duration,
+            turn_sign=1.0 - 2.0 * (k % 2),
         ))
 
+    lap_len = 2.0 * scenario.straight_length + math.pi * scenario.corner_radius
     return GroundTruth(
         t=t, x=ch["x"], y=ch["y"], v_meas=ch["v_meas"], v_xy=ch["v_xy"],
         psi=ch["psi"], theta=ch["theta"], depth=ch["depth"], a_t=ch["a_t"],
         omega=ch["omega"], a_n=ch["a_n"], laps=laps,
-        path_length=scenario.n_laps * state.lap_planar,
+        path_length=scenario.n_laps * lap_len,
         scenario=scenario, phases=phases,
     )
 
@@ -445,13 +374,10 @@ def synthesize_tag(truth: GroundTruth) -> TagSeries:
     per channel.
     """
     scn = truth.scenario
-    state = _TrialState(scn, truth.phases)
     rng = np.random.default_rng(scn.seed)
 
-    dt_imu = 1.0 / scn.imu_rate
-    n_imu = int(math.floor(state.t_total / dt_imu)) + 1
-    t_imu = np.arange(n_imu) * dt_imu
-    ch = state.evaluate(t_imu)
+    t_imu = _time_grid(truth.phases, IMU_RATE_HZ)
+    ch = _evaluate(scn, truth.phases, t_imu)
 
     theta, psi = ch["theta"], ch["psi"]
     dpsi = ch["omega"]

@@ -100,6 +100,47 @@ class TestSimulateCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("line, args, name", [
+        ("preset: [TT03", [], "scn.yaml"),
+        ("n_laps: 2.5", [], "n_laps"),
+        ("n_laps: '3'", [], "n_laps"),
+        ("seed: x", [], "seed"),
+        ("", ["--seed", "-1"], "seed"),
+        ("corner_speed: .nan", [], "corner_speed"),
+        ("corner_radius: .inf", [], "corner_radius"),
+        ("corner_buffer_s: -1", [], "corner_buffer_s"),
+        ("straight_length: 5", [], "straight_length"),
+        ("speed_jitter: 2.0", [], "speed_jitter"),
+        ("fluke_amp_deg: .nan", [], "fluke_amp_deg"),
+        ("depth_out: .nan", [], "depth_out"),
+        ("noise: {accel: -1}", [], "noise.accel"),
+        ("lead_in_s: -3", [], "lead_in_s"),
+        ("station_pause_s: -1", [], "station_pause_s"),
+        # The sample rates are module constants and the course starts at
+        # the origin heading east, so these are no longer settings.
+        ("imu_rate: 100", [], "unknown scenario keys: ['imu_rate']"),
+        ("slow_rate: 10", [], "unknown scenario keys: ['slow_rate']"),
+        ("p0: [1, 2]", [], "unknown scenario keys: ['p0']"),
+        ("heading0: 0.5", [], "unknown scenario keys: ['heading0']")],
+        ids=["malformed_yaml", "n_laps_float", "n_laps_string",
+             "seed_string", "seed_flag_negative", "corner_speed_nan",
+             "corner_radius_inf", "corner_buffer_negative",
+             "straight_too_short", "speed_jitter_two", "fluke_amp_deg_nan",
+             "depth_out_nan", "noise_negative", "lead_in_negative",
+             "station_pause_negative", "imu_rate", "slow_rate", "p0",
+             "heading0"])
+    def test_bad_scenario_exit_2(self, tmp_path, capsys, line, args, name):
+        # One line that names the setting, and no output directory.
+        (tmp_path / "scn.yaml").write_text(f"preset: TT03\n{line}\n")
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(tmp_path / "scn.yaml"),
+                     *args, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: invalid scenario: "), err
+        assert name in err[0], err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_scenario_exit_2(self, tmp_path):
         code = main(["simulate", "--scenario", str(tmp_path / "none.yaml"),
                      "--output-dir", str(tmp_path / "o")])

@@ -8,6 +8,7 @@ from swimlap.params import get_animal
 from swimlap.pipeline import analyze_trial
 from swimlap.simulator import (
     LapScenario,
+    SLOW_RATE_HZ,
     NoiseSpec,
     ScenarioError,
     build_lap_phases,
@@ -107,8 +108,28 @@ class TestGroundTruth:
         # station pause drawn on the lap it ends used to jump by pi.
         scn = preset_scenario(preset, n_laps=64, seed=7)
         truth = generate_truth(scn)
-        limit = np.abs(truth.omega).max() / scn.slow_rate + 1e-6
+        limit = np.abs(truth.omega).max() / SLOW_RATE_HZ + 1e-6
         assert np.abs(np.diff(truth.psi)).max() <= limit
+
+    @pytest.mark.parametrize("n_laps", [1, 3, 64])
+    @pytest.mark.parametrize("preset", ["TT01", "TT02", "TT03"])
+    def test_course_follows_heading_and_speed(self, preset, n_laps):
+        # Each 5 Hz step of (x, y) is the trapezoid of v_xy (cos psi,
+        # sin psi) (largest gap 0.036 m), and the heading turns only on
+        # the corner arcs and in the station pauses.
+        truth = generate_truth(preset_scenario(preset, n_laps=n_laps))
+        dt = 1.0 / SLOW_RATE_HZ
+        for pos, vel in ((truth.x, truth.v_xy * np.cos(truth.psi)),
+                         (truth.y, truth.v_xy * np.sin(truth.psi))):
+            step = 0.5 * (vel[1:] + vel[:-1]) * dt
+            assert np.abs(np.diff(pos) - step).max() <= 0.05
+        turning = np.zeros(len(truth.t), dtype=bool)
+        for ph in truth.phases:
+            if ph.corner or ph.yaw_turn != 0.0:
+                turning |= ((truth.t >= ph.t0)
+                            & (truth.t <= ph.t0 + ph.duration))
+        assert np.all(truth.omega[~turning] == 0.0)
+        assert np.abs(truth.omega[turning]).max() > 0.0
 
     def test_depth_profile_bounds(self):
         scn = LapScenario(animal=TT01)
