@@ -53,6 +53,9 @@ def scenario_from_dict(raw: dict) -> LapScenario:
         if not isinstance(noise, dict):
             raise ScenarioError(f"noise must be a mapping, got {noise!r}")
         data["noise"] = NoiseSpec(**noise)
+    if preset is not None and animal is not None:
+        raise ScenarioError("scenario sets both 'preset' and 'animal'; "
+                            "a preset names its animal")
     if preset is not None:
         return preset_scenario(preset, **data)
     if isinstance(animal, dict):
@@ -115,11 +118,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             if not isinstance(raw, dict):
                 raise ValueError(f"config file {args.config} is not a mapping")
         cfg = RunConfig.from_dict(raw, overrides)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, TypeError, KeyError, yaml.YAMLError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
+        print(f"error: invalid config: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return EXIT_USAGE
 
     try:

@@ -16,11 +16,16 @@ gyroscope, magnetometer) at nominally 50 Hz and environmental channels
 downstream analysis runs on a uniform 5 Hz master timeline, an array of
 instants (:func:`master_timeline`) whose sample period is the run's
 ``RunConfig.dt``.
+
+A clean tag file, of numbers and empty cells only, is parsed by numpy's C
+reader in 64 KB chunks; any other file goes, whole, through the row loop
+that defines the parse rules. The result is the same either way.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -99,9 +104,11 @@ def parse_tag_csv(path: str | Path,
     rows are flagged and excluded: a partly filled channel group, a cell
     that is not a number, a non-finite value, or a row cut short of a
     column that is read. Other columns, such as ``temp``, are never read.
+    A clean file is read by :func:`_parse_clean`, any other, whole, by
+    :func:`_parse_rows`, with the same result.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"tag file not found: {path}")
     colmap = {name: name for name in CSV_COLUMNS}
     if schema:
@@ -119,50 +126,13 @@ def parse_tag_csv(path: str | Path,
         index = {name: i for i, name in enumerate(header)}
         read = [index[colmap[n]] for n in ("t",) + IMU_FIELDS
                 + (MAG_FIELDS if has_mag else ()) + SLOW_FIELDS]
-        get_cells = itemgetter(*read)
-        t_idx, width = read[0], 1 + max(read)
-        m = len(read) - 2  # cells[1:7] IMU, cells[7:m] mag, cells[m:] slow
-
-        # Flat buffers, reshaped once at the end: no Python list per row.
-        t_imu, imu_buf = array("d"), array("d")
-        t_slow, slow_buf = array("d"), array("d")
-        no_mag = [math.nan] * (m - 7)
-        flagged: list[int] = []
-        # Blank lines are skipped; a flagged row is numbered by the file
-        # line on which it ends.
-        for row in filter(None, reader):
-            if len(row) < width:
-                # Cut short of a column that is read; a row without a
-                # time stamp carries nothing, as below.
-                if t_idx >= len(row) or row[t_idx].strip():
-                    flagged.append(reader.line_num)
-                continue
-            cells = list(map(str.strip, get_cells(row)))
-            if not cells[0]:
-                continue
-            imu_cells, mag_cells, slow_cells = cells[1:7], cells[7:m], cells[m:]
-            # Partially filled channel groups are malformed, not usable data.
-            if 0 < imu_cells.count("") < 6 or 0 < slow_cells.count("") < 2 \
-                    or 0 < mag_cells.count("") < len(mag_cells):
-                flagged.append(reader.line_num)
-                continue
-            try:
-                vals = list(map(float, filter(None, cells)))
-            except ValueError:
-                flagged.append(reader.line_num)
-                continue
-            if not all(map(math.isfinite, vals)):
-                flagged.append(reader.line_num)
-                continue
-            # vals: t, then the IMU, mag and slow groups that are present.
-            if imu_cells[0]:
-                t_imu.append(vals[0])
-                imu_buf.extend(vals[1:7])
-                imu_buf.extend(vals[7:10] if mag_cells and mag_cells[0]
-                               else no_mag)
-            if slow_cells[0]:
-                t_slow.append(vals[0])
-                slow_buf.extend(vals[-2:])
+        parsed = _parse_clean(fh, read, len(header), reader.line_num)
+        if parsed is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            parsed = _parse_rows(reader, read)
+    t_imu, imu_buf, t_slow, slow_buf, flagged = parsed
 
     if not t_imu and not t_slow:
         raise IngestError(f"empty tag file: {path}")
@@ -190,6 +160,125 @@ def parse_tag_csv(path: str | Path,
         speed=slow[:, 1],
         flagged_rows=flagged,
     )
+
+
+# The parse of a file body: the IMU times and rows (t, accelerometer,
+# gyroscope, then magnetometer or nan when the file has its columns), the
+# depth/speed times and rows, and the file lines of the flagged rows.
+_Parsed = tuple[array, array, array, array, list[int]]
+
+
+def _parse_rows(reader, read: list[int]) -> _Parsed:
+    """Parse the rows of ``reader`` one by one: the rules of every file.
+
+    ``read`` holds the column indices of ``t``, the IMU group, the
+    magnetometer group if the file has one, and depth and speed.
+    """
+    get_cells = itemgetter(*read)
+    t_idx, width = read[0], 1 + max(read)
+    m = len(read) - 2  # cells[1:7] IMU, cells[7:m] mag, cells[m:] slow
+
+    # Flat buffers, reshaped once at the end: no Python list per row.
+    t_imu, imu_buf = array("d"), array("d")
+    t_slow, slow_buf = array("d"), array("d")
+    no_mag = [math.nan] * (m - 7)
+    flagged: list[int] = []
+    # Blank lines are skipped; a flagged row is numbered by the file
+    # line on which it ends.
+    for row in filter(None, reader):
+        if len(row) < width:
+            # Cut short of a column that is read; a row without a
+            # time stamp carries nothing, as below.
+            if t_idx >= len(row) or row[t_idx].strip():
+                flagged.append(reader.line_num)
+            continue
+        cells = list(map(str.strip, get_cells(row)))
+        if not cells[0]:
+            continue
+        imu_cells, mag_cells, slow_cells = cells[1:7], cells[7:m], cells[m:]
+        # Partially filled channel groups are malformed, not usable data.
+        if 0 < imu_cells.count("") < 6 or 0 < slow_cells.count("") < 2 \
+                or 0 < mag_cells.count("") < len(mag_cells):
+            flagged.append(reader.line_num)
+            continue
+        try:
+            vals = list(map(float, filter(None, cells)))
+        except ValueError:
+            flagged.append(reader.line_num)
+            continue
+        if not all(map(math.isfinite, vals)):
+            flagged.append(reader.line_num)
+            continue
+        # vals: t, then the IMU, mag and slow groups that are present.
+        if imu_cells[0]:
+            t_imu.append(vals[0])
+            imu_buf.extend(vals[1:7])
+            imu_buf.extend(vals[7:10] if mag_cells and mag_cells[0]
+                           else no_mag)
+        if slow_cells[0]:
+            t_slow.append(vals[0])
+            slow_buf.extend(vals[-2:])
+    return t_imu, imu_buf, t_slow, slow_buf, flagged
+
+
+# Characters of the body to read at a time: the memory the C reader takes
+# grows with it, and at 1 MB it peaks above 3x the file size.
+_CHUNK = 1 << 16
+
+
+def _parse_clean(fh, read: list[int], ncols: int, line: int) -> _Parsed | None:
+    """Parse the rest of ``fh`` as :func:`_parse_rows` would, with numpy.
+
+    Reads ``_CHUNK`` characters of whole lines at a time, each line after
+    file line ``line``. Returns None, having read part of the file, when a
+    chunk is not made of rows of ``ncols`` numbers and empty cells: a cell
+    of text (``nan`` too, or quotes), a blank line, a bare ``\\r`` line
+    end inside the chunk, or a row of another length (which the row loop
+    may flag).
+    """
+    m = len(read) - 2
+    t_imu, imu_buf = array("d"), array("d")
+    t_slow, slow_buf = array("d"), array("d")
+    flagged: list[int] = []
+    while lines := fh.readlines(_CHUNK):
+        text = "".join(lines)
+        # loadtxt reads a literal nan as a number and skips a blank line;
+        # any other text fails it, as does a bare \r in mid-chunk.
+        if "n" in text or "N" in text \
+                or "\n" in lines or "\r\n" in lines or "\r" in lines:
+            return None
+        # So an empty cell can read as nan.
+        text = text.replace(",,", ",nan,").replace(",,", ",nan,")
+        text = text.replace(",\r", ",nan\r").replace(",\n", ",nan\n")
+        text = text.replace("\n,", "\nnan,")
+        text = ("nan" if text[0] == "," else "") + text \
+            + ("nan" if text[-1] == "," else "")
+        try:
+            table = np.loadtxt(io.StringIO(text), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if table.shape != (len(lines), ncols):
+            return None
+        vals = table[:, read]
+        empty = np.isnan(vals)
+
+        def partial(a: int, b: int) -> np.ndarray:
+            n = empty[:, a:b].sum(axis=1)
+            return (0 < n) & (n < b - a)
+
+        bad = partial(1, 7) | partial(7, m) | partial(m, m + 2) \
+            | np.isinf(vals).any(axis=1)
+        timed = ~empty[:, 0]  # a row without a time stamp carries nothing
+        flagged += (line + 1 + np.flatnonzero(timed & bad)).tolist()
+        ok = timed & ~bad
+        imu, slow = ok & ~empty[:, 1], ok & ~empty[:, m]
+        t_imu.frombytes(vals[imu, 0].tobytes())
+        imu_buf.frombytes(vals[imu, 1:m].tobytes())
+        t_slow.frombytes(vals[slow, 0].tobytes())
+        slow_buf.frombytes(vals[slow, m:].tobytes())
+        line += len(lines)
+    return t_imu, imu_buf, t_slow, slow_buf, flagged
 
 
 # The number format of every artifact: 9 significant digits.

@@ -319,7 +319,7 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
 
 def run_analyze(cfg: RunConfig) -> int:
     """Analyze every input trial; returns the process exit code."""
-    missing = [p for p in cfg.inputs if not Path(p).exists()]
+    missing = [p for p in cfg.inputs if not Path(p).is_file()]
     if missing:
         raise FileNotFoundError(f"input file not found: {missing[0]}")
     stems = [Path(p).stem for p in cfg.inputs]

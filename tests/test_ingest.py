@@ -6,12 +6,14 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swimlap import ingest
 from swimlap.ingest import (
     CSV_COLUMNS,
     EARTH_RADIUS_M,
@@ -342,6 +344,137 @@ class TestParse:
         rows = ["0.0,0,0,9.81,0,0,0,1,0,0,1.0,-2.0,"]
         with pytest.raises(IngestError, match="speed"):
             parse_tag_csv(write_rows(tmp_path / "a.csv", rows))
+
+
+def loop_parse(path, schema=None):
+    """``parse_tag_csv`` with every file sent to the row loop."""
+    with mock.patch.object(ingest, "_parse_clean", return_value=None):
+        return parse_tag_csv(path, schema)
+
+
+def fast_parse(path, schema=None):
+    """``parse_tag_csv`` that fails if the file reaches the row loop."""
+    with mock.patch.object(ingest, "_parse_rows",
+                           side_effect=AssertionError("row loop reached")):
+        return parse_tag_csv(path, schema)
+
+
+# Cells of a clean file: numbers, some space-padded, empty cells and
+# numbers that overflow to inf.
+CLEAN_CELL = st.one_of(NUMBER, NUMBER, NUMBER, st.sampled_from(
+    ["", "", "1e400", "-1e400", " 2.5", "-0"]))
+
+
+class TestCleanFiles:
+    """The numpy reader of clean files against the row loop."""
+
+    @given(with_mag=st.booleans(), crlf=st.booleans(),
+           layout=st.sampled_from(["plain", "schema", "repeat", "extra"]),
+           chunk=st.sampled_from([1, 200, 1 << 16]),
+           rows=st.lists(st.tuples(
+               st.lists(CLEAN_CELL, min_size=15, max_size=15),
+               st.sampled_from(["imu", "slow", "both", "none"]),
+               st.booleans()), min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop(self, with_mag, crlf, layout, chunk, rows):
+        # Row i has time stamp 0.02 * i or an empty time cell, and drawn
+        # cells in its kind's groups, ``temp`` and the extra columns; the
+        # other groups are empty. So groups come out full, empty or
+        # partial.
+        header = FULL_HEADER.split(",")
+        if not with_mag:
+            header = [c for c in header if c not in MAG_FIELDS]
+        schema = None
+        if layout == "schema":
+            header[header.index("t")] = "time"
+            schema = {"t": "time"}
+        elif layout == "repeat":  # the last column of a name is read
+            header.insert(1, "speed")
+        elif layout == "extra":
+            header.append("extra")
+        groups = {"imu": IMU_FIELDS + MAG_FIELDS, "slow": SLOW_FIELDS,
+                  "both": IMU_FIELDS + MAG_FIELDS + SLOW_FIELDS, "none": ()}
+        lines = []
+        for i, (cells, kind, timed) in enumerate(rows):
+            drawn = groups[kind] + ("temp", "extra")
+            row = [cell if name in drawn else "" for name, cell
+                   in zip(header, cells)]
+            row[0] = f"{0.02 * i:.2f}" if timed else ""
+            if layout == "repeat":
+                row[1] = cells[1]
+            lines.append(",".join(row))
+        end = "\r\n" if crlf else "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.csv"
+            path.write_text(end.join([",".join(header), *lines]) + end,
+                            newline="")
+            with mock.patch.object(ingest, "_CHUNK", chunk):
+                got = parse_outcome(lambda p: fast_parse(p, schema), path)
+            assert_same_outcome(
+                got, parse_outcome(lambda p: loop_parse(p, schema), path))
+
+    @pytest.mark.parametrize("with_mag", [True, False],
+                             ids=["mag", "no_mag"])
+    def test_simulated_tag_takes_numpy_path(self, tmp_path, trial_16lap,
+                                            with_mag):
+        tag = trial_16lap if with_mag else replace(trial_16lap, mag=None)
+        path = tmp_path / "t16.csv"
+        write_tag_csv(tag, path)
+        assert_same_outcome(parse_outcome(fast_parse, path),
+                            parse_outcome(loop_parse, path))
+
+    @pytest.mark.parametrize("rows, flagged", [
+        # A literal nan is no empty cell: the rows are flagged.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+          "nan,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+          "0.4,nan,nan,nan,nan,nan,nan,nan,nan,nan,1.0,2.0,"], [3, 4]),
+        # A quoted number is a number.
+        (['0.0,0,0,"9.81",0,0,0,1,0,0,1.0,2.0,',
+          '0.2,0,0,9.81,0,0,0,1,0,0,"1.0",2.0,""'], []),
+        # A '#' is no comment: the cell is not a number.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+          "0.2,0,0,9.81#,0,0,0,1,0,0,1.0,2.0,"], [3]),
+        # A number padded with spaces is a number.
+        (["0.0, 0 ,0,9.81,0,0,0,1,0,0, 1.0,2.0 ,",
+          "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,"], []),
+        # A blank line is skipped but counts as a line of the file.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,", "",
+          "0.2,0,0,9.81,0,0,0,1,0,,1.0,2.0,",
+          "0.4,0,0,9.81,0,0,0,1,0,0,1.0,2.0,"], [4]),
+        # A bare \r ends a line.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,\r"
+          "0.2,0,0,9.81,0,,0,1,0,0,1.0,2.0,",
+          "0.4,0,0,9.81,0,0,0,1,0,0,1.0,2.0,"], [3]),
+        # The temperature is never read, also when it is no number.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,21..5",
+          "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,-"], [])],
+        ids=["literal_nan", "quoted_cell", "hash_in_cell", "space_padded",
+             "blank_line", "bare_cr", "garbled_temp"])
+    def test_irregular_cells(self, tmp_path, rows, flagged):
+        path = write_rows(tmp_path / "a.csv", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tag = parse_tag_csv(path)
+        assert tag.flagged_rows == flagged
+        lines = "\n".join(rows).replace("\r", "\n").splitlines()
+        assert tag.n_slow == sum(map(bool, lines)) - len(flagged)
+        assert_same_outcome(parse_outcome(parse_tag_csv, path),
+                            parse_outcome(loop_parse, path))
+
+    def test_bad_row_in_last_chunk(self, tmp_path):
+        # The numpy reader has read every chunk but the last when it
+        # meets the text cell; the row loop then reads the whole file.
+        rows = [f"{0.02 * i:.2f},0,0,9.81,0,0,0,1,0,0,1.0,2.0,"
+                for i in range(5000)]
+        rows[-2] = rows[-2].replace("9.81", "x")
+        path = write_rows(tmp_path / "a.csv", rows)
+        assert path.stat().st_size > 2 * ingest._CHUNK
+        with pytest.warns(UserWarning, match="flagged 1 malformed"):
+            tag = parse_tag_csv(path)
+        assert tag.flagged_rows == [5000]
+        assert tag.n_imu == 4999
+        assert_same_outcome(parse_outcome(parse_tag_csv, path),
+                            parse_outcome(loop_parse, path))
 
 
 class TestResample:

@@ -121,14 +121,15 @@ class TestSimulateCommand:
         ("imu_rate: 100", [], "unknown scenario keys: ['imu_rate']"),
         ("slow_rate: 10", [], "unknown scenario keys: ['slow_rate']"),
         ("p0: [1, 2]", [], "unknown scenario keys: ['p0']"),
-        ("heading0: 0.5", [], "unknown scenario keys: ['heading0']")],
+        ("heading0: 0.5", [], "unknown scenario keys: ['heading0']"),
+        ("animal: TT99", [], "both 'preset' and 'animal'")],
         ids=["malformed_yaml", "n_laps_float", "n_laps_string",
              "seed_string", "seed_flag_negative", "corner_speed_nan",
              "corner_radius_inf", "corner_buffer_negative",
              "straight_too_short", "speed_jitter_two", "fluke_amp_deg_nan",
              "depth_out_nan", "noise_negative", "lead_in_negative",
              "station_pause_negative", "imu_rate", "slow_rate", "p0",
-             "heading0"])
+             "heading0", "preset_and_animal"])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, line, args, name):
         # One line that names the setting, and no output directory.
         (tmp_path / "scn.yaml").write_text(f"preset: TT03\n{line}\n")
@@ -248,6 +249,22 @@ class TestAnalyzeCommand:
                      "--animal", "TT01"])
         assert code == 2
         assert "ghost.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--input", "{tmp}", "--animal", "TT01", "--output-dir", "{tmp}/o"],
+        ["--config", "{tmp}"],
+        ["--config", "{tmp}/malformed.yaml"]],
+        ids=["input_directory", "config_directory", "malformed_config"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, args):
+        # One line, and no output directory.
+        (tmp_path / "malformed.yaml").write_text(
+            f"inputs: [a.csv\noutput_dir: {tmp_path / 'o'}\n")
+        capsys.readouterr()
+        assert main(["analyze", *(a.format(tmp=tmp_path) for a in args)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: "), err
+        assert not (tmp_path / "o").exists()
 
     def test_config_without_animal_exit_2(self, tmp_path):
         (tmp_path / "t.csv").write_text("t\n")
