@@ -93,7 +93,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     truth = generate_truth(scenario)
     tag = synthesize_tag(truth)
     write_tag_csv(tag, out / "tag.csv")
@@ -128,7 +132,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     try:
         code = run_analyze(cfg)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # also an output path that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     manifest = Path(cfg.output_dir) / "manifest.json"
@@ -147,7 +151,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         run_report(args.run_dir)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # also a report path that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -114,7 +114,8 @@ def parse_tag_csv(path: str | Path,
     if schema:
         colmap.update(schema)
 
-    with path.open(newline="") as fh:
+    # utf-8-sig skips a byte-order mark, also again after fh.seek(0).
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for required in ("t",) + IMU_FIELDS + SLOW_FIELDS:

@@ -58,10 +58,10 @@ from .segmentation import (
 
 NORMALIZED_CHANNELS = ("v", "a_t", "a_n", "depth", "p_thrust", "cot", "x", "y")
 
-# Per-lap columns of laps.csv that the report's phase-work table copies.
+# Per-lap columns of laps.csv that the report's phase-work table copies;
+# after the three phases it adds their active-fluking part, work_af_j.
 WORK_COLUMNS = ("work_transient_j", "work_consistent_j", "work_glide_j",
-                "work_af_j", "thrust_work_j", "thrust_work_signed_j",
-                "drag_work_j")
+                "thrust_work_j", "thrust_work_signed_j", "drag_work_j")
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
     power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal)
     events = detect_laps(kin, cfg.segmentation)
     labels = classify_phases(kin, events, cfg.segmentation)
-    laps = [{"lap": i, **lap_metrics(kin, power, ev, labels, cfg.animal)}
+    laps = [{"lap": i, **lap_metrics(kin, power, ev, labels)}
             for i, ev in enumerate(events)]
     return TrialResult(trial_id=trial_id, kin=kin, track=track, power=power,
                        events=events, labels=labels, laps=laps)
@@ -245,18 +245,19 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0)
 
 
-def fit_summary(laps: list[dict]) -> dict:
+def fit_summary(laps: list[dict], params: AnimalParams) -> dict:
     """Power-law fits of per-lap phase-average power vs speed.
 
-    One dimensional fit (W vs m/s) and one non-dimensional fit (power over
-    the normalization constant vs body lengths per second) per phase
-    class, skipping classes with fewer than 3 positive points.
+    One dimensional fit (W vs m/s) and one non-dimensional fit (power
+    over ``params.norm_constant`` vs body lengths per second, speed over
+    ``params.length``) per phase class, skipping classes with fewer than
+    3 positive points.
     """
     out: dict = {}
     for cls in PHASE_CLASSES:
-        # The speed and power statistics, the first four of CLASS_STATS.
-        v, v_bl, p, p_nd = (np.array([row[f"{cls}_{stat}"] for row in laps])
-                            for stat in CLASS_STATS[:4])
+        v, p = (np.array([row[f"{cls}_{stat}"] for row in laps])
+                for stat in ("mean_speed_ms", "mean_power_w"))
+        v_bl, p_nd = v / params.length, p / params.norm_constant
         good = np.isfinite(v) & np.isfinite(p) & (v > 0) & (p > 0)
         entry: dict = {"n_points": int(np.count_nonzero(good))}
         if np.count_nonzero(good) >= 3:
@@ -302,7 +303,7 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
         write_energetics_csv(result, trial_dir / "energetics.csv")
         write_normalized_csv(result, trial_dir / "normalized.csv")
         (trial_dir / "fits.json").write_text(
-            json.dumps(fit_summary(result.laps), sort_keys=True,
+            json.dumps(fit_summary(result.laps, cfg.animal), sort_keys=True,
                        indent=2) + "\n")
         artifacts += ["laps.csv", "energetics.csv", "normalized.csv",
                       "fits.json"]
@@ -396,7 +397,8 @@ def run_report(run_dir: str | Path) -> int:
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 
-    work: dict[str, list] = {c: [] for c in ("trial", "lap", *WORK_COLUMNS)}
+    work: dict[str, list] = {c: [] for c in (
+        "trial", "lap", *WORK_COLUMNS[:3], "work_af_j", *WORK_COLUMNS[3:])}
     speed: dict[str, list] = {c: [] for c in ("trial", "lap", "class",
                                                *CLASS_STATS)}
     aligned: dict[str, list] = {c: [] for c in ("trial", "lap", "t", "x", "y")}
@@ -418,6 +420,9 @@ def run_report(run_dir: str | Path) -> int:
         work["trial"] += [trial] * len(lap_ids)
         for c in ("lap", *WORK_COLUMNS):
             work[c] += laps[c]
+        # Active fluking: transient plus consistent, from the printed cells.
+        work["work_af_j"] += [fmt(float(a) + float(b)) for a, b in zip(
+            laps["work_transient_j"], laps["work_consistent_j"])]
         for i, lap_id in enumerate(lap_ids):
             for cls in PHASE_CLASSES:
                 speed["trial"].append(trial)

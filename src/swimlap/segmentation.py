@@ -18,7 +18,6 @@ import numpy as np
 from .energetics import PowerSeries, thrust_work
 from .ingest import moving_average
 from .kinematics import KinematicState
-from .params import AnimalParams
 
 REST, TRANSIENT, CONSISTENT, GLIDE = 0, 1, 2, 3
 
@@ -27,8 +26,7 @@ REST, TRANSIENT, CONSISTENT, GLIDE = 0, 1, 2, 3
 # lap record has a ``<class>_<stat>`` value for every pair.
 PHASE_CLASSES = {"af": (TRANSIENT, CONSISTENT), "cs": (CONSISTENT,),
                  "trans": (TRANSIENT,)}
-CLASS_STATS = ("mean_speed_ms", "mean_speed_bl", "mean_power_w",
-               "mean_power_nd", "mean_cot")
+CLASS_STATS = ("mean_speed_ms", "mean_power_w", "mean_cot")
 
 START_SUSTAIN_S = 1.0    # s above threshold to open a lap
 END_SUSTAIN_S = 2.0      # s below threshold to close a lap
@@ -301,9 +299,9 @@ def normalize_lap(channels: dict[str, np.ndarray], t: np.ndarray,
 
 
 def lap_metrics(states: KinematicState, power: PowerSeries,
-                events: LapEvents, labels: np.ndarray,
-                params: AnimalParams) -> dict:
-    """Summary record for one analyzed lap (durations, peaks, work, COT)."""
+                events: LapEvents, labels: np.ndarray) -> dict:
+    """One lap's durations, peaks, work and COT, each once and in SI units:
+    no sums of other fields and no ratios to an animal constant."""
     dt = states.dt
     lap = events.window
     t = states.t[lap]
@@ -324,15 +322,14 @@ def lap_metrics(states: KinematicState, power: PowerSeries,
         return thrust_work(p_thrust, dt, window=mask, rectify=rectify)
 
     work_rect = {code: phase_work(code, True)
-                 for code in (TRANSIENT, CONSISTENT, GLIDE, REST)}
+                 for code in (TRANSIENT, CONSISTENT, GLIDE)}
     work_signed = {code: phase_work(code, False)
-                   for code in (TRANSIENT, CONSISTENT, GLIDE, REST)}
+                   for code in (TRANSIENT, CONSISTENT, GLIDE)}
 
     # The lap's one turn radius, v/|omega| at the cornering event.
     omega_c = abs(states.omega[events.corner_idx])
     corner_radius = (float(states.v[events.corner_idx] / omega_c)
                      if omega_c > 0.0 else float("nan"))
-    work_j = thrust_work(p_thrust, dt)
 
     metrics = {
         "t_start": events.t_s,
@@ -349,30 +346,22 @@ def lap_metrics(states: KinematicState, power: PowerSeries,
         "mean_power_w": float(p_thrust.mean()),
         "peak_omega_rads": float(np.abs(states.omega[lap]).max()),
         "corner_radius_m": corner_radius,
-        "thrust_work_j": work_j,
+        "thrust_work_j": thrust_work(p_thrust, dt),
         "thrust_work_signed_j": thrust_work(p_thrust, dt, rectify=False),
         "drag_work_j": thrust_work(power.p_drag[lap], dt, rectify=False),
-        "thrust_work_nd": work_j / params.norm_constant,
         "mean_cot": float(np.nanmean(power.cot[lap]))
         if np.isfinite(power.cot[lap]).any() else float("nan"),
         "transient_s": phase_s(TRANSIENT),
         "consistent_s": phase_s(CONSISTENT),
         "glide_s": phase_s(GLIDE),
-        "active_fluking_s": phase_s(TRANSIENT) + phase_s(CONSISTENT),
         "out_transient_s": phase_s(TRANSIENT, out_mask),
         "out_consistent_s": phase_s(CONSISTENT, out_mask),
-        "out_active_fluking_s": phase_s(TRANSIENT, out_mask)
-        + phase_s(CONSISTENT, out_mask),
         "ret_transient_s": phase_s(TRANSIENT, ~out_mask),
         "ret_consistent_s": phase_s(CONSISTENT, ~out_mask),
-        "ret_active_fluking_s": phase_s(TRANSIENT, ~out_mask)
-        + phase_s(CONSISTENT, ~out_mask),
         "ret_glide_s": phase_s(GLIDE, ~out_mask),
         "work_transient_j": work_rect[TRANSIENT],
         "work_consistent_j": work_rect[CONSISTENT],
         "work_glide_j": work_rect[GLIDE],
-        "work_rest_j": work_rect[REST],
-        "work_af_j": work_rect[TRANSIENT] + work_rect[CONSISTENT],
         "work_signed_transient_j": work_signed[TRANSIENT],
         "work_signed_consistent_j": work_signed[CONSISTENT],
         "work_signed_glide_j": work_signed[GLIDE],
@@ -385,8 +374,7 @@ def lap_metrics(states: KinematicState, power: PowerSeries,
             v = float(states.v[lap][mask].mean())
             p = float(p_thrust[mask].mean())
             cot = power.cot[lap][mask]
-            stats = [v, v / params.length, p, p / params.norm_constant,
-                     float(np.nanmean(cot)) if np.isfinite(cot).any()
+            stats = [v, p, float(np.nanmean(cot)) if np.isfinite(cot).any()
                      else float("nan")]
         metrics.update(zip([f"{cls}_{stat}" for stat in CLASS_STATS], stats))
     return metrics

@@ -152,19 +152,19 @@ def test_criterion_6_curvature_convergence():
 
 
 def test_criterion_7_phase_work_accounting(preset_trials):
+    # Lap samples are transient, consistent or glide, never rest (see
+    # test_segmentation's lap-window test), so the three phases
+    # partition the lap's work.
     worst = 0.0
-    af_exact = True
     for name, (_, _, _, result) in preset_trials.items():
         for m in result.laps:
             total = m["thrust_work_j"]
             parts = (m["work_transient_j"] + m["work_consistent_j"]
-                     + m["work_glide_j"] + m["work_rest_j"])
+                     + m["work_glide_j"])
             worst = max(worst, abs(parts - total) / max(abs(total), 1e-12))
-            if m["work_af_j"] != m["work_transient_j"] + m["work_consistent_j"]:
-                af_exact = False
-    ok = worst < 1e-9 and af_exact
+    ok = worst < 1e-9
     report(7, ok, f"phase work partition residual {worst:.2e} "
-                  f"(limit 1e-9 relative); AF identity exact: {af_exact}")
+                  f"(limit 1e-9 relative)")
 
 
 def test_criterion_8_paper_scale_plausibility():

@@ -276,8 +276,8 @@ class TestFitPowerLaw:
     def test_positive_coefficients_on_trial_fits(self, preset_trials):
         from swimlap.pipeline import fit_summary
 
-        for name, (_, _, _, result) in preset_trials.items():
-            fits = fit_summary(result.laps)
+        for name, (scenario, _, _, result) in preset_trials.items():
+            fits = fit_summary(result.laps, scenario.animal)
             for cls in ("af", "cs"):
                 assert fits[cls]["a1"] > 0.0, (name, cls)
                 assert fits[cls]["a2"] > 0.0, (name, cls)

@@ -461,6 +461,25 @@ class TestCleanFiles:
         assert_same_outcome(parse_outcome(parse_tag_csv, path),
                             parse_outcome(loop_parse, path))
 
+    @pytest.mark.parametrize("blank_line", [False, True],
+                             ids=["numpy_path", "row_loop"])
+    def test_byte_order_mark(self, tmp_path, trial_16lap, blank_line):
+        # A UTF-8 byte-order mark, as spreadsheet exports write, is not part
+        # of the first column's name.
+        path = tmp_path / "t16.csv"
+        write_tag_csv(trial_16lap, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        if blank_line:  # the row loop reads the file again from its start
+            lines.insert(1000, b"\r\n")
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"".join(lines))
+        bom.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+        with mock.patch.object(ingest, "_parse_rows",
+                               wraps=ingest._parse_rows) as loop:
+            got = parse_outcome(parse_tag_csv, bom)
+        assert loop.called == blank_line
+        assert_same_outcome(got, parse_outcome(parse_tag_csv, plain))
+
     def test_bad_row_in_last_chunk(self, tmp_path):
         # The numpy reader has read every chunk but the last when it
         # meets the text cell; the row loop then reads the whole file.

@@ -6,7 +6,8 @@ import pytest
 import yaml
 
 from swimlap.cli import main
-from swimlap.ingest import local_to_latlon, parse_tag_csv
+from swimlap.ingest import fmt, local_to_latlon, parse_tag_csv
+from swimlap.params import AnimalParams
 from swimlap.pipeline import RunConfig, fit_summary
 
 LAGOON_ORIGIN = (21.27, -157.77)
@@ -122,23 +123,29 @@ class TestSimulateCommand:
         ("slow_rate: 10", [], "unknown scenario keys: ['slow_rate']"),
         ("p0: [1, 2]", [], "unknown scenario keys: ['p0']"),
         ("heading0: 0.5", [], "unknown scenario keys: ['heading0']"),
-        ("animal: TT99", [], "both 'preset' and 'animal'")],
+        ("animal: TT99", [], "both 'preset' and 'animal'"),
+        # A valid scenario, and an output path that is a plain file.
+        ("", ["--output-dir", "{tmp}/scn.yaml"], "File exists")],
         ids=["malformed_yaml", "n_laps_float", "n_laps_string",
              "seed_string", "seed_flag_negative", "corner_speed_nan",
              "corner_radius_inf", "corner_buffer_negative",
              "straight_too_short", "speed_jitter_two", "fluke_amp_deg_nan",
              "depth_out_nan", "noise_negative", "lead_in_negative",
              "station_pause_negative", "imu_rate", "slow_rate", "p0",
-             "heading0", "preset_and_animal"])
+             "heading0", "preset_and_animal", "output_dir_is_file"])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, line, args, name):
-        # One line that names the setting, and no output directory.
+        # One line that names the setting or the path's fault, and no
+        # output directory.
         (tmp_path / "scn.yaml").write_text(f"preset: TT03\n{line}\n")
         capsys.readouterr()
         assert main(["simulate", "--scenario", str(tmp_path / "scn.yaml"),
-                     *args, "--output-dir", str(tmp_path / "o")]) == 2
+                     "--output-dir", str(tmp_path / "o"),
+                     *(a.format(tmp=tmp_path) for a in args)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
-        assert err[0].startswith("error: invalid scenario: "), err
+        path_error = "--output-dir" in args
+        assert err[0].startswith(
+            "error: " if path_error else "error: invalid scenario: "), err
         assert name in err[0], err
         assert not (tmp_path / "o").exists()
 
@@ -251,16 +258,26 @@ class TestAnalyzeCommand:
         assert "ghost.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
-        ["--input", "{tmp}", "--animal", "TT01", "--output-dir", "{tmp}/o"],
-        ["--config", "{tmp}"],
-        ["--config", "{tmp}/malformed.yaml"]],
-        ids=["input_directory", "config_directory", "malformed_config"])
+        ["analyze", "--input", "{tmp}", "--animal", "TT01",
+         "--output-dir", "{tmp}/o"],
+        ["analyze", "--config", "{tmp}"],
+        ["analyze", "--config", "{tmp}/malformed.yaml"],
+        # Output paths that are plain files.
+        ["analyze", "--input", "{tmp}/malformed.yaml", "--animal", "TT01",
+         "--output-dir", "{tmp}/malformed.yaml"],
+        ["report", "--run-dir", "{tmp}/run"]],
+        ids=["input_directory", "config_directory", "malformed_config",
+             "output_dir_is_file", "report_dir_is_file"])
     def test_unreadable_input_exit_2(self, tmp_path, capsys, args):
         # One line, and no output directory.
         (tmp_path / "malformed.yaml").write_text(
             f"inputs: [a.csv\noutput_dir: {tmp_path / 'o'}\n")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "manifest.json").write_text(
+            '{"trials": [{"trial": "tag", "status": "failed"}]}')
+        (tmp_path / "run" / "report").write_text("")
         capsys.readouterr()
-        assert main(["analyze", *(a.format(tmp=tmp_path) for a in args)]) == 2
+        assert main([a.format(tmp=tmp_path) for a in args]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith("error: "), err
@@ -493,22 +510,21 @@ class TestFits:
         for v in np.linspace(1.0, 3.0, 6):
             laps.append({
                 "af_mean_speed_ms": v, "af_mean_power_w": 30.0 * v ** 2.3,
-                "af_mean_speed_bl": v / 2.0,
-                "af_mean_power_nd": 0.0347 * (v / 2.0) ** 2.08,
                 "cs_mean_speed_ms": v, "cs_mean_power_w": 20.0 * v ** 2.5,
-                "cs_mean_speed_bl": v / 2.0,
-                "cs_mean_power_nd": 0.0211 * (v / 2.0) ** 2.49,
                 "trans_mean_speed_ms": np.nan,
                 "trans_mean_power_w": np.nan,
-                "trans_mean_speed_bl": np.nan,
-                "trans_mean_power_nd": np.nan,
             })
-        fits = fit_summary(laps)
+        params = AnimalParams(mass=150.0, length=2.0, p_rmr=300.0)
+        fits = fit_summary(laps, params)
         assert fits["af"]["a1"] == pytest.approx(30.0, abs=1e-6)
         assert fits["af"]["a2"] == pytest.approx(2.3, abs=1e-6)
-        assert fits["af"]["b1"] == pytest.approx(0.0347, abs=1e-6)
-        assert fits["af"]["b2"] == pytest.approx(2.08, abs=1e-6)
         assert fits["cs"]["a2"] == pytest.approx(2.5, abs=1e-6)
+        # p / N = (a1 / N) * v**a2 = (a1 * L**a2 / N) * (v / L)**a2.
+        for cls in ("af", "cs"):
+            a1, a2 = fits[cls]["a1"], fits[cls]["a2"]
+            assert fits[cls]["b2"] == pytest.approx(a2, abs=1e-9)
+            assert fits[cls]["b1"] == pytest.approx(
+                a1 * 2.0 ** a2 / params.norm_constant, rel=1e-9)
         assert fits["trans"] == {"n_points": 0}
 
     def test_fit_json_from_run(self, run_dir):
@@ -526,6 +542,30 @@ class TestReportCommand:
         for name in ("tag_normalized_mean.csv", "phase_work.csv",
                      "power_speed.csv", "corner_aligned_tracks.csv"):
             assert (rep / name).exists(), name
+
+    def test_headers_pinned(self, run_dir):
+        # Each quantity once, in SI units: no sums of other columns and no
+        # ratios to an animal constant.
+        main(["report", "--run-dir", str(run_dir)])
+        classes = [f"{cls}_{stat}" for cls in ("af", "cs", "trans")
+                   for stat in ("mean_speed_ms", "mean_power_w", "mean_cot")]
+        laps = [
+            "lap", "t_start", "t_corner", "t_end", "duration_s",
+            "turn_start", "turn_end", "turn_duration_s", "path_length_m",
+            "peak_speed_ms", "mean_speed_ms", "peak_power_w", "mean_power_w",
+            "peak_omega_rads", "corner_radius_m", "thrust_work_j",
+            "thrust_work_signed_j", "drag_work_j", "mean_cot", "transient_s",
+            "consistent_s", "glide_s", "out_transient_s", "out_consistent_s",
+            "ret_transient_s", "ret_consistent_s", "ret_glide_s",
+            "work_transient_j", "work_consistent_j", "work_glide_j",
+            "work_signed_transient_j", "work_signed_consistent_j",
+            "work_signed_glide_j", *classes]
+        assert len(laps) == 42
+        header = read(run_dir / "tag" / "laps.csv").splitlines()[0]
+        assert header.split(",") == laps
+        header = read(run_dir / "report" / "power_speed.csv").splitlines()[0]
+        assert header.split(",") == ["trial", "lap", "class", "mean_speed_ms",
+                                     "mean_power_w", "mean_cot"]
 
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
@@ -550,11 +590,10 @@ class TestReportCommand:
 
         with (run_dir / "report" / "phase_work.csv").open() as fh:
             for row in csv.DictReader(fh):
-                af = float(row["work_af_j"])
-                t = float(row["work_transient_j"])
-                c = float(row["work_consistent_j"])
-                # CSV carries 9 significant digits.
-                assert af == pytest.approx(t + c, rel=1e-8)
+                # Active fluking is the sum of the printed cells.
+                assert row["work_af_j"] == fmt(
+                    float(row["work_transient_j"])
+                    + float(row["work_consistent_j"]))
 
     def test_single_lap_average_equals_lap(self, tmp_path):
         sim = tmp_path / "sim1"
