@@ -36,7 +36,6 @@ class PowerSeries:
     p_inertial: np.ndarray
     p_drag: np.ndarray
     p_thrust: np.ndarray
-    p_thrust_nd: np.ndarray
     cot: np.ndarray
 
 
@@ -79,10 +78,9 @@ def thrust_power(t: np.ndarray, v: np.ndarray, a_t: np.ndarray,
     """Evaluate the thrust-power balance over aligned channels.
 
     ``p_thrust = (m + 0.4 rho V) a_t v + 0.5 rho A_s C_D gamma v^3``;
-    the returned series carries the force/power decomposition, the
-    power over ``params.norm_constant``, and the metabolic cost of
-    transport ``(p_thrust / (eta_ms eta_sp) + P_RMR) / (m v)`` in
-    J/(kg m), NaN at speeds up to :data:`V_MIN_COT`.
+    the returned series carries the force/power decomposition and the
+    metabolic cost of transport ``(p_thrust / (eta_ms eta_sp) + P_RMR) /
+    (m v)`` in J/(kg m), NaN at speeds up to :data:`V_MIN_COT`.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -102,8 +100,7 @@ def thrust_power(t: np.ndarray, v: np.ndarray, a_t: np.ndarray,
             np.nan)
     return PowerSeries(
         t=t, v=v, gamma=gamma, f_drag=f_drag, f_thrust=f_thrust,
-        p_inertial=p_inertial, p_drag=p_drag, p_thrust=p_thrust,
-        p_thrust_nd=p_thrust / params.norm_constant, cot=cot,
+        p_inertial=p_inertial, p_drag=p_drag, p_thrust=p_thrust, cot=cot,
     )
 
 

@@ -225,6 +225,8 @@ def _parse_rows(reader, read: list[int]) -> _Parsed:
 # Characters of the body to read at a time: the memory the C reader takes
 # grows with it, and at 1 MB it peaks above 3x the file size.
 _CHUNK = 1 << 16
+# The bytes that fill an empty cell.
+_NAN = np.frombuffer(b"nan", np.uint8)
 
 
 def _parse_clean(fh, read: list[int], ncols: int, line: int) -> _Parsed | None:
@@ -233,9 +235,9 @@ def _parse_clean(fh, read: list[int], ncols: int, line: int) -> _Parsed | None:
     Reads ``_CHUNK`` characters of whole lines at a time, each line after
     file line ``line``. Returns None, having read part of the file, when a
     chunk is not made of rows of ``ncols`` numbers and empty cells: a cell
-    of text (``nan`` too, or quotes), a blank line, a bare ``\\r`` line
-    end inside the chunk, or a row of another length (which the row loop
-    may flag).
+    of text (``nan`` too, quotes, or a character outside ASCII), a blank
+    line, a bare ``\\r`` line end inside the chunk, or a row of another
+    length (which the row loop may flag).
     """
     m = len(read) - 2
     t_imu, imu_buf = array("d"), array("d")
@@ -245,18 +247,22 @@ def _parse_clean(fh, read: list[int], ncols: int, line: int) -> _Parsed | None:
         text = "".join(lines)
         # loadtxt reads a literal nan as a number and skips a blank line;
         # any other text fails it, as does a bare \r in mid-chunk.
-        if "n" in text or "N" in text \
+        if "n" in text or "N" in text or not text.isascii() \
                 or "\n" in lines or "\r\n" in lines or "\r" in lines:
             return None
-        # So an empty cell can read as nan.
-        text = text.replace(",,", ",nan,").replace(",,", ",nan,")
-        text = text.replace(",\r", ",nan\r").replace(",\n", ",nan\n")
-        text = text.replace("\n,", "\nnan,")
-        text = ("nan" if text[0] == "," else "") + text \
-            + ("nan" if text[-1] == "," else "")
+        # So an empty cell can read as nan, in one pass over the bytes: a
+        # cell starts at the chunk's start and after each ',' and each
+        # '\n' but a last one, and is empty where ',', '\r', '\n' or the
+        # chunk's end follows at once.
+        raw = np.frombuffer(text.encode(), np.uint8)
+        comma, cr, lf = (raw == ord(c) for c in ",\r\n")
+        start = np.insert(comma | lf, 0, True)
+        start[-1] = comma[-1]
+        at = np.flatnonzero(start & np.append(comma | cr | lf, True))
+        filled = np.insert(raw, at.repeat(3), np.tile(_NAN, len(at)))
         try:
-            table = np.loadtxt(io.StringIO(text), delimiter=",",
-                               comments=None, ndmin=2)
+            table = np.loadtxt(io.StringIO(filled.tobytes().decode()),
+                               delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
         if table.shape != (len(lines), ncols):

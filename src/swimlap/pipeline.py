@@ -221,7 +221,7 @@ def write_energetics_csv(result: TrialResult, path: Path) -> None:
         "t": kin.t, "v": kin.v, "a_t": kin.a_t, "depth": kin.depth,
         "gamma": power.gamma, "F_drag": power.f_drag,
         "F_thrust": power.f_thrust, "P_thrust": power.p_thrust,
-        "P_t_nd": power.p_thrust_nd, "COT": power.cot})
+        "COT": power.cot})
 
 
 def write_normalized_csv(result: TrialResult, path: Path) -> None:
@@ -352,29 +352,31 @@ def run_analyze(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _normalized_mean(norm: dict[str, list[str]]) -> dict[str, list]:
-    """Mean and std over the laps of each ``normalized.csv`` channel.
+def _normalized_mean(path: Path) -> dict[str, list]:
+    """Mean and std over the laps of each channel of ``normalized.csv``.
 
     One row per lap percentage; non-finite samples are left out, and a
-    percentage without any finite sample gets NaN.
+    percentage without any finite sample gets NaN. Every lap must hold
+    the first lap's percentage grid.
     """
-    by_pct: dict[str, list[int]] = {}
-    for i, pct in enumerate(norm["pct"]):
-        by_pct.setdefault(pct, []).append(i)
-    pcts = sorted(by_pct, key=float)
-    table: dict[str, list] = {"pct": pcts}
+    norm = read_table(path)
+    laps, pct = norm.pop("lap"), norm.pop("pct")
+    grid = pct[:laps.count(laps[0])] if laps else []
+    n_laps = len(pct) // len(grid) if grid else 0
+    if pct != grid * n_laps:
+        raise ValueError(f"{path}: laps do not share one percentage grid")
+    table: dict[str, list] = {"pct": grid}
     for c, cells in norm.items():
-        if c in ("lap", "pct"):
-            continue
-        values = np.array(cells, dtype=float)
-        means, stds = [], []
-        for pct in pcts:
-            vals = values[by_pct[pct]]
-            vals = vals[np.isfinite(vals)]
-            means.append(vals.mean() if len(vals) else math.nan)
-            stds.append(vals.std() if len(vals) else math.nan)
-        table[f"{c}_mean"] = means
-        table[f"{c}_std"] = stds
+        # Percentages x laps, C-ordered: each row sums as numpy sums the
+        # values of one percentage alone.
+        x = np.array(cells, dtype=float).reshape(n_laps, len(grid)).T.copy()
+        ok = np.isfinite(x)
+        n = ok.sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            mean = np.where(ok, x, 0.0).sum(axis=1) / n
+            dev = np.where(ok, x - mean[:, None], 0.0)
+            table[f"{c}_mean"] = mean
+            table[f"{c}_std"] = np.sqrt((dev * dev).sum(axis=1) / n)
     return table
 
 
@@ -415,7 +417,7 @@ def run_report(run_dir: str | Path) -> int:
         # Each table's text is freed as soon as its numbers are taken, so the
         # normalized and track text are never held while laps are aligned.
         write_table(report_dir / f"{trial}_normalized_mean.csv",
-                    _normalized_mean(read_table(trial_dir / "normalized.csv")))
+                    _normalized_mean(trial_dir / "normalized.csv"))
 
         work["trial"] += [trial] * len(lap_ids)
         for c in ("lap", *WORK_COLUMNS):

@@ -177,14 +177,21 @@ class TestNondimensionalize:
     def test_normalization_constants(self, params, expected):
         assert params.norm_constant == pytest.approx(expected, rel=2e-3)
 
-    def test_zero(self):
-        assert at_power(0.0, 1.0, TT01).p_thrust_nd[0] == pytest.approx(
-            0.0, abs=1e-12)
-
     def test_roundtrip(self):
-        ps = at_power(321.5, 2.0, TT02)
-        assert ps.p_thrust_nd[0] * TT02.norm_constant == pytest.approx(
-            321.5, rel=1e-12)
+        # The thrust power of laps on p / N = 0.05 (v / L)^2.4 comes back
+        # as that law from fit_summary, the one place that forms p / N.
+        from swimlap.pipeline import fit_summary
+
+        v = np.linspace(1.0, 4.0, 6)
+        ps = at_power(0.05 * (v / TT02.length) ** 2.4 * TT02.norm_constant,
+                      v, TT02)
+        laps = [{f"{cls}_{stat}": value for cls in ("af", "cs", "trans")
+                 for stat, value in (("mean_speed_ms", vi),
+                                     ("mean_power_w", pi))}
+                for vi, pi in zip(v, ps.p_thrust)]
+        for entry in fit_summary(laps, TT02).values():
+            assert entry["b1"] == pytest.approx(0.05, rel=1e-9)
+            assert entry["b2"] == pytest.approx(2.4, rel=1e-9)
 
 
 class TestWork:

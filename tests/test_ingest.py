@@ -461,6 +461,39 @@ class TestCleanFiles:
         assert_same_outcome(parse_outcome(parse_tag_csv, path),
                             parse_outcome(loop_parse, path))
 
+    @pytest.mark.parametrize("chunk", [1, 1 << 16])
+    @pytest.mark.parametrize("body, numpy_path", [
+        # The file's last row has no line end and ends in an empty cell.
+        ("0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,\n"
+         "0.2,0,0,9.81,0,0,0,1,0,0,,,", True),
+        # The first data row opens with an empty cell: it has no time.
+        (",0,0,9.81,0,0,0,1,0,0,1.0,2.0,3\n"
+         "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,3\n", True),
+        # A row of commas only.
+        ("0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,3\n,,,,,,,,,,,,\n"
+         "0.4,,,,,,,,,,1.0,2.0,\n", True),
+        # CRLF line ends after an empty cell.
+        ("0.0,0,0,9.81,0,0,0,,,,1.0,2.0,\r\n"
+         "0.2,0,0,9.81,0,0,0,,,,,,\r\n0.4,,,,,,,,,,1.0,2.0,\r\n", True),
+        # A chunk outside ASCII goes to the row loop, also where loadtxt
+        # would read it (a no-break space); the temperature is never read.
+        ("0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,\u00a021.5\n"
+         "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,\u00a021.5\n", False)],
+        ids=["no_final_line_end", "leading_empty_cell", "only_commas",
+             "crlf_empty_last_cell", "non_ascii_temp"])
+    def test_empty_cell_edges(self, tmp_path, chunk, body, numpy_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes((FULL_HEADER + "\n" + body).encode())
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            with mock.patch.object(ingest, "_parse_rows",
+                                   wraps=ingest._parse_rows) as loop:
+                got = parse_outcome(
+                    fast_parse if numpy_path else parse_tag_csv, path)
+            want = parse_outcome(loop_parse, path)
+        assert loop.called != numpy_path
+        assert want["flagged_rows"] == []
+        assert_same_outcome(got, want)
+
     @pytest.mark.parametrize("blank_line", [False, True],
                              ids=["numpy_path", "row_loop"])
     def test_byte_order_mark(self, tmp_path, trial_16lap, blank_line):

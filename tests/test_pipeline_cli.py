@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,15 @@ import pytest
 import yaml
 
 from swimlap.cli import main
-from swimlap.ingest import fmt, local_to_latlon, parse_tag_csv
+from swimlap.ingest import (
+    fmt,
+    local_to_latlon,
+    parse_tag_csv,
+    read_table,
+    write_table,
+)
 from swimlap.params import AnimalParams
-from swimlap.pipeline import RunConfig, fit_summary
+from swimlap.pipeline import RunConfig, _normalized_mean, fit_summary
 
 LAGOON_ORIGIN = (21.27, -157.77)
 
@@ -638,3 +645,91 @@ class TestReportCommand:
         for row in rows:
             for ch in ("v_std", "depth_std", "p_thrust_std"):
                 assert float(row[ch]) < 1e-6, (row["pct"], ch)
+
+
+def reference_normalized_mean(norm):
+    """The per-percentage rule: the finite samples of each percentage's
+    rows, with numpy's mean and std, NaN where there are none."""
+    pcts = sorted(set(norm["pct"]), key=float)
+    table = {"pct": pcts}
+    for c, cells in norm.items():
+        if c in ("lap", "pct"):
+            continue
+        values = np.array(cells, dtype=float)
+        for stat in ("mean", "std"):
+            table[f"{c}_{stat}"] = []
+        for pct in pcts:
+            vals = values[[p == pct for p in norm["pct"]]]
+            vals = vals[np.isfinite(vals)]
+            table[f"{c}_mean"].append(vals.mean() if len(vals) else np.nan)
+            table[f"{c}_std"].append(vals.std() if len(vals) else np.nan)
+    return table
+
+
+class TestNormalizedMean:
+    @pytest.mark.parametrize("laps", [None, 64], ids=["run", "64_laps"])
+    def test_all_finite_equals_reference(self, run_dir, tmp_path, rng, laps):
+        # On finite cells the masked sums are numpy's own mean and std, also
+        # past 8 laps, where numpy sums in eight interleaved parts.
+        path = run_dir / "tag" / "normalized.csv"
+        if laps:
+            path = tmp_path / "normalized.csv"
+            grid = np.linspace(0.0, 100.0, 11)
+            write_table(path, {"lap": [i for i in range(laps) for _ in grid],
+                               "pct": np.tile(grid, laps),
+                               "v": rng.normal(3.0, 2.0, laps * len(grid))})
+        norm = read_table(path)
+        assert np.isfinite(np.array(list(norm.values()), dtype=float)).all()
+        got = _normalized_mean(path)
+        want = reference_normalized_mean(norm)
+        assert list(got) == list(want)
+        for c, cells in want.items():
+            assert list(map(str, got[c])) == list(map(str, cells)), c
+
+    def test_non_finite_cells(self, tmp_path, rng):
+        # Five laps on a 7-point grid; about a fifth of the cells nan, inf
+        # or -inf, and no finite sample at 50 %.
+        grid = np.linspace(0.0, 100.0, 7)
+        values = rng.normal(3.0, 2.0, size=(2, 5 * 7))
+        bad = rng.random(values.shape)
+        values[bad < 0.1] = np.nan
+        values[(0.1 <= bad) & (bad < 0.15)] = np.inf
+        values[(0.15 <= bad) & (bad < 0.2)] = -np.inf
+        values[:, 3::7] = np.nan
+        values[1, 3::14] = np.inf
+        path = tmp_path / "normalized.csv"
+        write_table(path, {"lap": [lap for lap in range(5) for _ in grid],
+                           "pct": np.tile(grid, 5),
+                           "v": values[0], "cot": values[1]})
+        got = _normalized_mean(path)
+        want = reference_normalized_mean(read_table(path))
+        assert got["pct"] == want["pct"] == [fmt(p) for p in grid]
+        for c in ("v_mean", "v_std", "cot_mean", "cot_std"):
+            got_c, want_c = np.asarray(got[c]), np.asarray(want[c])
+            assert np.isnan(got_c[3]) and np.isnan(want_c[3]), c
+            keep = np.arange(7) != 3
+            assert np.isfinite(want_c[keep]).all(), c
+            np.testing.assert_allclose(got_c[keep], want_c[keep],
+                                       rtol=1e-12, atol=0.0, err_msg=c)
+
+    @pytest.mark.parametrize("edit", ["drop_row", "shift_pct"])
+    def test_laps_off_one_grid_exit_1(self, run_dir, tmp_path, capsys,
+                                      edit):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        shutil.rmtree(run / "report", ignore_errors=True)
+        path = run / "tag" / "normalized.csv"
+        lines = read(path).splitlines(keepends=True)
+        row = 1 + 201 + 5  # a row of the second lap
+        if edit == "drop_row":
+            del lines[row]
+        else:
+            cells = lines[row].split(",")
+            cells[1] = fmt(float(cells[1]) + 0.01)
+            lines[row] = ",".join(cells)
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "percentage grid" in err[0]
