@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -89,6 +88,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         inf = math.inf
         for key, ok, need in (
+                ("output_dir", isinstance(self.output_dir, str)
+                 and self.output_dir, "a non-empty string"),
                 ("jobs", type(self.jobs) is int and self.jobs >= 1,
                  "an integer >= 1"),
                 ("dt", 0.0 < self.dt < inf, "finite and positive"),
@@ -103,6 +104,10 @@ class RunConfig:
                     len(point) == 2 and all(map(math.isfinite, point))):
                 raise ValueError(
                     f"{key} must be two finite numbers, got {point!r}")
+        if self.origin is not None and not abs(self.origin[0]) < 90.0:
+            raise ValueError(f"origin must be (latitude, longitude) with the "
+                             f"latitude strictly between -90 and 90, "
+                             f"got {self.origin!r}")
         if self.schema is not None and not (
                 isinstance(self.schema, dict)
                 and all(k in CSV_COLUMNS and isinstance(v, str) and v
@@ -142,20 +147,24 @@ class RunConfig:
                           set(seg) - set(SegmentationConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        inputs = tuple(str(p) for p in data.pop("inputs", ()))
+        inputs = data.pop("inputs", ())
+        if not (isinstance(inputs, (list, tuple))
+                and all(isinstance(p, str) for p in inputs)):
+            raise ValueError(
+                f"inputs must be a list of strings, got {inputs!r}")
         if not inputs:
             raise ValueError("config lists no inputs")
         for key in ("origin", "station"):
             if key in data and data[key] is not None:
                 data[key] = tuple(float(v) for v in data[key])
-        return cls(inputs=inputs, animal=animal_params,
+        return cls(inputs=tuple(inputs), animal=animal_params,
                    segmentation=SegmentationConfig(**seg), **data)
 
     def config_dict(self) -> dict:
         """Every field but ``jobs``, as plain data: the manifest's config.
 
-        ``jobs`` is left out so that serial and parallel runs write the
-        same manifest.
+        ``jobs`` is left out: trials run one after another at any
+        ``jobs``, and runs that differ only in it write the same manifest.
         """
         out = asdict(self)
         del out["jobs"]
@@ -284,7 +293,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
+def _run_one_trial(cfg: RunConfig, input_path: str) -> dict:
     trial_id = Path(input_path).stem
     trial_dir = Path(cfg.output_dir) / trial_id
     trial_dir.mkdir(parents=True, exist_ok=True)
@@ -315,7 +324,7 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> tuple[str, dict]:
     except Exception as exc:  # noqa: BLE001 - per-trial isolation
         status.update({"status": "failed", "error": f"{type(exc).__name__}: {exc}",
                        "trace": traceback.format_exc(limit=5)})
-    return trial_id, status
+    return status
 
 
 def run_analyze(cfg: RunConfig) -> int:
@@ -330,26 +339,21 @@ def run_analyze(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.jobs > 1 and len(cfg.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            statuses = dict(pool.map(
-                lambda p: _run_one_trial(cfg, p), cfg.inputs))
-    else:
-        statuses = dict(_run_one_trial(cfg, p) for p in cfg.inputs)
-
+    # One trial after another on this thread, whatever ``cfg.jobs`` says:
+    # parsing and table writing hold the GIL, so trial threads gain nothing.
+    trials = [_run_one_trial(cfg, p) for p in cfg.inputs]
     manifest = {
         "tool": f"swimlap {__version__}",
         "config": cfg.config_dict(),
         "config_hash": cfg.config_hash(),
         "inputs": [{"path": str(p), "sha256": _sha256(Path(p))}
                    for p in cfg.inputs],
-        "trials": [statuses[Path(p).stem] for p in cfg.inputs],
+        "trials": trials,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    failed = [s for s in manifest["trials"] if s["status"] != "ok"]
-    return 1 if failed else 0
+    return 0 if all(s["status"] == "ok" for s in trials) else 1
 
 
 def _normalized_mean(path: Path) -> dict[str, list]:
@@ -392,9 +396,14 @@ def run_report(run_dir: str | Path) -> int:
     if not manifest_path.exists():
         raise FileNotFoundError(f"run manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
-    trials = manifest.get("trials", [])
+    trials = manifest.get("trials") if isinstance(manifest, dict) else None
     if not trials:
         raise ValueError("incomplete run manifest: no trials recorded")
+    if not (isinstance(trials, list) and all(
+            isinstance(s, dict) and isinstance(s.get("trial"), str)
+            for s in trials)):
+        raise ValueError("incomplete run manifest: 'trials' is not a list "
+                         "of statuses that each name their trial")
 
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)

@@ -1,11 +1,13 @@
 import json
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from swimlap import pipeline
 from swimlap.cli import main
 from swimlap.ingest import (
     fmt,
@@ -308,20 +310,26 @@ class TestAnalyzeCommand:
         ("schema", ["t"]), ("schema", {"tt": "time_s"}), ("schema", {"t": 5}),
         ("segmentation.v_start", float("nan")), ("segmentation.v_start", -1),
         ("segmentation.a_thresh", float("nan")), ("jobs", 2.5),
-        ("jobs", True), ("jobs", "2")],
+        ("jobs", True), ("jobs", "2"), ("output_dir", ["o6"]),
+        ("output_dir", ""), ("inputs", "sim/tag.csv"), ("inputs", [1]),
+        ("origin", [91, 0]), ("origin", [-90, 0])],
         ids=["station_one_number", "origin_one_number", "station_nan",
              "dt_zero", "beta_negative", "beta_nan", "smooth_window_zero",
              "smooth_window_inf", "v_min_cot_negative", "v_min_cot_nan",
              "initial_heading_nan", "grid_n_one", "schema_list",
              "schema_unknown_column", "schema_not_string", "v_start_nan",
              "v_start_negative", "a_thresh_nan", "jobs_float", "jobs_bool",
-             "jobs_string"])
+             "jobs_string", "output_dir_list", "output_dir_empty",
+             "inputs_string", "inputs_number", "origin_latitude_91",
+             "origin_latitude_minus_90"])
     def test_invalid_config_values_exit_2(self, sim_dir, tmp_path, capsys,
-                                          key, value):
+                                          monkeypatch, key, value):
         # A key that is no longer read is refused as unknown, whatever
-        # its value; the others name the key and what it must be.
+        # its value; the others name the key and what it must be. Nothing
+        # is written, also where a relative output_dir would land.
         write_config(tmp_path / "cfg.yaml", sim_dir, tmp_path / "o", key,
                      value)
+        monkeypatch.chdir(tmp_path)
         capsys.readouterr()
         assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -329,7 +337,7 @@ class TestAnalyzeCommand:
         reason = (f"unknown config keys: ['{key}']" if key in REMOVED_KEYS
                   else f"{key} must be")
         assert err[0].startswith(f"error: invalid config: {reason}"), err
-        assert not (tmp_path / "o").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_config_keys_exit_2(self, sim_dir, tmp_path, capsys, key):
@@ -381,6 +389,24 @@ class TestAnalyzeCommand:
             assert code == 0
         for rel in ("tag/laps.csv", "tag2/laps.csv"):
             assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
+
+    def test_jobs_trials_run_in_order_on_calling_thread(
+            self, sim_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def recording_parse(path, schema=None):
+            calls.append((threading.get_ident(), Path(path).name))
+            return parse_tag_csv(path, schema)
+
+        monkeypatch.setattr(pipeline, "parse_tag_csv", recording_parse)
+        inputs = []
+        for name in ("c", "a", "b"):
+            inputs += ["--input", str(tmp_path / f"{name}.csv")]
+            shutil.copy(sim_dir / "tag.csv", tmp_path / f"{name}.csv")
+        assert main(["analyze", *inputs, "--output-dir", str(tmp_path / "o"),
+                     "--animal", "TT03", "--jobs", "2"]) == 0
+        here = threading.get_ident()
+        assert calls == [(here, "c.csv"), (here, "a.csv"), (here, "b.csv")]
 
     def test_geojson_with_boundary(self, sim_dir, tmp_path):
         boundary = write_lagoon(tmp_path / "lagoon.geojson",
@@ -576,6 +602,20 @@ class TestReportCommand:
 
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("manifest", [
+        "[]", "null", '{"trials": 5}', '{"trials": ["x"]}',
+        '{"trials": [{"status": "ok"}]}'],
+        ids=["list", "null", "trials_number", "trials_strings",
+             "trial_without_name"])
+    def test_malformed_manifest_exit_1(self, tmp_path, capsys, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: incomplete run manifest: "), err
+        assert not (tmp_path / "report").exists()
 
     def test_aligned_tracks_hold_lap_windows(self, run_dir):
         # Each corner-aligned lap holds the lap's half-open sample window
