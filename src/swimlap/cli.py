@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .params import AnimalParams, get_animal
+from .params import animal_from
 from .pipeline import RunConfig, run_analyze, run_report
 from .simulator import (
     LapScenario,
@@ -58,13 +58,9 @@ def scenario_from_dict(raw: dict) -> LapScenario:
                             "a preset names its animal")
     if preset is not None:
         return preset_scenario(preset, **data)
-    if isinstance(animal, dict):
-        data["animal"] = AnimalParams(**animal)
-    elif isinstance(animal, str):
-        data["animal"] = get_animal(animal)
-    else:
-        raise ScenarioError("scenario needs 'preset', or 'animal' (name or params)")
-    return LapScenario(**data)
+    if animal is None:
+        raise ScenarioError("scenario needs 'preset' or 'animal'")
+    return LapScenario(animal=animal_from(animal), **data)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

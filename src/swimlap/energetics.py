@@ -23,6 +23,11 @@ GAMMA_TABLE = ((0.5, 2.5), (3.0, 1.0))
 # Below this speed the COT denominator is considered degenerate.
 V_MIN_COT = 0.05
 
+# fit_power_law stops after this many Gauss-Newton steps, or once a step
+# lowers the squared-residual sum by less than this fraction of it.
+FIT_MAX_ITER = 200
+FIT_TOL = 1e-14
+
 
 @dataclass
 class PowerSeries:
@@ -131,8 +136,7 @@ class PowerLawFit:
     rms: float
 
 
-def fit_power_law(v: np.ndarray, p: np.ndarray,
-                  max_iter: int = 200, tol: float = 1e-14) -> PowerLawFit:
+def fit_power_law(v: np.ndarray, p: np.ndarray) -> PowerLawFit:
     """Fit ``p = c * v**e`` by damped Gauss-Newton on squared residuals.
 
     Seeded with the exact log-log linear solution; deterministic for a
@@ -155,7 +159,7 @@ def fit_power_law(v: np.ndarray, p: np.ndarray,
 
     lam = 1e-10
     sse_prev = float(np.sum((p - c * v ** e) ** 2))
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         model = c * v ** e
         r = p - model
         j1 = v ** e
@@ -183,7 +187,7 @@ def fit_power_law(v: np.ndarray, p: np.ndarray,
             break
         c, e = c_new, e_new
         lam = max(lam * 0.25, 1e-12)
-        if sse_prev - sse_new <= tol * (sse_prev + 1e-300):
+        if sse_prev - sse_new <= FIT_TOL * (sse_prev + 1e-300):
             sse_prev = sse_new
             break
         sse_prev = sse_new

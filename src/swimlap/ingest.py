@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from array import array
@@ -433,63 +432,16 @@ def moving_average(values: np.ndarray, window_s: float, dt: float) -> np.ndarray
     return (csum[idx + k + 1] - csum[idx - k]) / (2 * k + 1)
 
 
-def latlon_to_local(lat: float | np.ndarray, lon: float | np.ndarray,
-                    origin: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Project WGS-84 degrees to local tangent-plane meters.
-
-    Equirectangular projection about ``origin``: adequate at lagoon scale
-    (sub-kilometer extents). Returns (x east, y north).
-    """
-    lat = np.asarray(lat, dtype=float)
-    lon = np.asarray(lon, dtype=float)
-    if not np.all(np.abs(lat) <= 90.0):
-        raise ValueError("latitude out of range")
-    lat0, lon0 = origin
-    x = EARTH_RADIUS_M * math.cos(math.radians(lat0)) * np.radians(lon - lon0)
-    y = EARTH_RADIUS_M * np.radians(lat - lat0)
-    return x, y
-
-
 def local_to_latlon(x: float | np.ndarray, y: float | np.ndarray,
                     origin: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`latlon_to_local`."""
+    """Local tangent-plane meters (x east, y north) to WGS-84 degrees.
+
+    Equirectangular projection about ``origin`` = (lat, lon): adequate at
+    lagoon scale (sub-kilometer extents).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lat0, lon0 = origin
     lat = lat0 + np.degrees(y / EARTH_RADIUS_M)
     lon = lon0 + np.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
     return lat, lon
-
-
-def read_boundary_vertex(path: str | Path) -> tuple[float, float]:
-    """First vertex ``(lat, lon)`` of a WGS-84 GeoJSON Polygon's outer ring.
-
-    The file must hold a Polygon whose first ring is ``[lon, lat]`` number
-    pairs: at least 3 vertices besides a closing repeat of the first, every
-    latitude within +-90 degrees and every longitude finite. Raises
-    FileNotFoundError for a missing file and ValueError with a one-line
-    reason otherwise.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"boundary file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"boundary file {path} is not JSON: {exc}") from exc
-    geom = data.get("geometry", data) if isinstance(data, dict) else None
-    if not isinstance(geom, dict) or geom.get("type") != "Polygon":
-        raise ValueError(f"boundary file {path} must contain a Polygon")
-    try:
-        ring = geom["coordinates"][0]
-        lon = np.array([p[0] for p in ring], dtype=float)
-        lat = np.array([p[1] for p in ring], dtype=float)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"boundary file {path}: Polygon has no valid "
-                         f"coordinate ring") from exc
-    closed = len(ring) > 1 and ring[0] == ring[-1]
-    if len(ring) - closed < 3:
-        raise ValueError(f"boundary file {path}: Polygon needs >= 3 vertices")
-    if not (np.all(np.abs(lat) <= 90.0) and np.all(np.isfinite(lon))):
-        raise ValueError(f"boundary file {path}: coordinates out of range")
-    return float(lat[0]), float(lon[0])

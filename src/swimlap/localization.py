@@ -55,13 +55,13 @@ def dead_reckon(states: KinematicState, p0: tuple[float, float]) -> Track:
     return Track(t=states.t.copy(), x=x, y=y, end_point=end)
 
 
-def curvature_radius(track: Track, dt: float,
-                     eps: float = EPS_CURVATURE) -> np.ndarray:
+def curvature_radius(track: Track, dt: float) -> np.ndarray:
     """Instantaneous radius of curvature from difference stencils.
 
     Interior samples use central first differences and the three-point
-    second difference; the cross term ``x' y'' - y' x''`` below ``eps``,
-    radii above ``MAX_RADIUS_M`` and both endpoints map to +inf.
+    second difference; the cross term ``x' y'' - y' x''`` below
+    ``EPS_CURVATURE``, radii above ``MAX_RADIUS_M`` and both endpoints map
+    to +inf.
     """
     x, y = track.x, track.y
     if len(x) < 3:
@@ -73,7 +73,7 @@ def curvature_radius(track: Track, dt: float,
     cross = np.abs(xd * ydd - yd * xdd)
     radius = np.full(len(x), np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        interior = np.where(cross < eps, np.inf,
+        interior = np.where(cross < EPS_CURVATURE, np.inf,
                             (xd ** 2 + yd ** 2) ** 1.5 / cross)
     radius[1:-1] = np.where(interior > MAX_RADIUS_M, np.inf, interior)
     return radius

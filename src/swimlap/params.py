@@ -7,6 +7,8 @@ downstream modules agree on them.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 # Seawater density used by the added-mass and drag models, kg/m^3.
@@ -17,6 +19,18 @@ NU_SEAWATER = 1.044e-6
 TISSUE_DENSITY = 1025.0
 
 GRAVITY = 9.81
+
+
+def check_numbers(obj, names, ok, need: str, prefix: str = "") -> None:
+    """Reject the first of ``names`` that is not a number passing ``ok``.
+
+    A bool is not a number, and NaN fails every range.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not ok(value)):
+            raise ValueError(f"{prefix}{name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,18 +75,18 @@ class AnimalParams:
     g: float = GRAVITY
 
     def __post_init__(self) -> None:
+        def positive(names):
+            check_numbers(self, names, lambda v: 0.0 < v < math.inf,
+                          "a finite number > 0", prefix="animal.")
+
+        positive(("mass", "length"))  # the defaults below derive from them
         if self.volume is None:
             object.__setattr__(self, "volume", self.mass / TISSUE_DENSITY)
         if self.body_diameter is None:
             object.__setattr__(self, "body_diameter", 0.2 * self.length)
-        for name in ("mass", "length", "p_rmr", "volume", "body_diameter",
-                     "rho", "nu", "g"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("eta_ms", "eta_sp"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
+        positive(("p_rmr", "volume", "body_diameter", "rho", "nu", "g"))
+        check_numbers(self, ("eta_ms", "eta_sp"), lambda v: 0.0 < v <= 1.0,
+                      "in (0, 1]", prefix="animal.")
 
     @property
     def surface_area(self) -> float:
@@ -110,3 +124,14 @@ def get_animal(name: str) -> AnimalParams:
     except KeyError:
         raise KeyError(
             f"unknown animal {name!r}; presets: {sorted(ANIMALS)}") from None
+
+
+def animal_from(value) -> AnimalParams:
+    """The animal a config's ``animal`` key gives: a preset name, or a
+    mapping of :class:`AnimalParams` fields."""
+    if isinstance(value, str):
+        return get_animal(value)
+    if isinstance(value, dict):
+        return AnimalParams(**value)
+    raise ValueError(f"animal must be a preset name {sorted(ANIMALS)} or a "
+                     f"mapping of AnimalParams fields, got {value!r}")

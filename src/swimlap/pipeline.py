@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,10 +26,8 @@ from .ingest import (
     CSV_COLUMNS,
     TagSeries,
     fmt,
-    latlon_to_local,
     master_timeline,
     parse_tag_csv,
-    read_boundary_vertex,
     read_table,
     resample_linear,
     write_table,
@@ -43,7 +42,7 @@ from .localization import (
     track_to_geojson,
 )
 from .orientation import estimate_orientation
-from .params import AnimalParams, get_animal
+from .params import AnimalParams, animal_from, check_numbers
 from .segmentation import (
     CLASS_STATS,
     PHASE_CLASSES,
@@ -74,11 +73,8 @@ class RunConfig:
     inputs: tuple[str, ...]
     output_dir: str
     animal: AnimalParams
-    boundary: str | None = None
     origin: tuple[float, float] | None = None
-    # None: the boundary's first vertex, projected about the origin, or
-    # (0, 0) without a boundary. Both are resolved in __post_init__.
-    station: tuple[float, float] | None = None
+    station: tuple[float, float] = (0.0, 0.0)
     jobs: int = 1
     schema: dict | None = None
     dt: float = 0.2
@@ -86,24 +82,28 @@ class RunConfig:
     segmentation: SegmentationConfig = SegmentationConfig()
 
     def __post_init__(self) -> None:
-        inf = math.inf
-        for key, ok, need in (
-                ("output_dir", isinstance(self.output_dir, str)
-                 and self.output_dir, "a non-empty string"),
-                ("jobs", type(self.jobs) is int and self.jobs >= 1,
-                 "an integer >= 1"),
-                ("dt", 0.0 < self.dt < inf, "finite and positive"),
-                ("initial_heading_deg", abs(self.initial_heading_deg) < inf,
-                 "finite")):
-            if not ok:
-                raise ValueError(
-                    f"{key} must be {need}, got {getattr(self, key)!r}")
-        for key in ("origin", "station"):
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ValueError(f"output_dir must be a non-empty string, "
+                             f"got {self.output_dir!r}")
+        check_numbers(self, ("jobs",),
+                      lambda v: isinstance(v, numbers.Integral) and v >= 1,
+                      "an integer >= 1")
+        check_numbers(self, ("dt",), lambda v: 0.0 < v < math.inf,
+                      "a finite number > 0")
+        check_numbers(self, ("initial_heading_deg",), math.isfinite,
+                      "a finite number")
+        # Without an origin no track.geojson is written; the station is
+        # where every track starts.
+        keys = ("station",) if self.origin is None else ("origin", "station")
+        for key in keys:
             point = getattr(self, key)
-            if point is not None and not (
-                    len(point) == 2 and all(map(math.isfinite, point))):
+            if not (isinstance(point, (list, tuple)) and len(point) == 2
+                    and all(not isinstance(v, bool)
+                            and isinstance(v, numbers.Real)
+                            and math.isfinite(v) for v in point)):
                 raise ValueError(
                     f"{key} must be two finite numbers, got {point!r}")
+            object.__setattr__(self, key, tuple(map(float, point)))
         if self.origin is not None and not abs(self.origin[0]) < 90.0:
             raise ValueError(f"origin must be (latitude, longitude) with the "
                              f"latitude strictly between -90 and 90, "
@@ -115,38 +115,19 @@ class RunConfig:
             raise ValueError(
                 f"schema must be a map from column names of "
                 f"{list(CSV_COLUMNS)} to non-empty strings, got {self.schema!r}")
-        # The one place that resolves origin and station: the boundary's
-        # first vertex fills whichever is missing; without a boundary the
-        # station is (0, 0).
-        if self.boundary is not None:
-            lat, lon = read_boundary_vertex(self.boundary)
-            if self.origin is None:
-                object.__setattr__(self, "origin", (lat, lon))
-            if self.station is None:
-                x, y = latlon_to_local(lat, lon, self.origin)
-                object.__setattr__(self, "station", (float(x), float(y)))
-        elif self.station is None:
-            object.__setattr__(self, "station", (0.0, 0.0))
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
         data = dict(raw)
         data.update({k: v for k, v in (overrides or {}).items()
                      if v is not None})
-        animal = data.pop("animal", None)
-        params = data.pop("params", None)
-        if isinstance(params, dict):
-            animal_params = AnimalParams(**params)
-        elif isinstance(animal, str):
-            animal_params = get_animal(animal)
-        else:
-            raise ValueError("config needs 'animal' preset or 'params' block")
         seg = data.pop("segmentation", None) or {}
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         unknown += sorted(f"segmentation.{k}" for k in
                           set(seg) - set(SegmentationConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        animal = animal_from(data.pop("animal", None))
         inputs = data.pop("inputs", ())
         if not (isinstance(inputs, (list, tuple))
                 and all(isinstance(p, str) for p in inputs)):
@@ -154,10 +135,7 @@ class RunConfig:
                 f"inputs must be a list of strings, got {inputs!r}")
         if not inputs:
             raise ValueError("config lists no inputs")
-        for key in ("origin", "station"):
-            if key in data and data[key] is not None:
-                data[key] = tuple(float(v) for v in data[key])
-        return cls(inputs=tuple(inputs), animal=animal_params,
+        return cls(inputs=tuple(inputs), animal=animal,
                    segmentation=SegmentationConfig(**seg), **data)
 
     def config_dict(self) -> dict:
@@ -178,8 +156,7 @@ class RunConfig:
         version identifies them.
         """
         basis = {k: v for k, v in self.config_dict().items()
-                 if k not in ("inputs", "output_dir", "boundary", "origin",
-                              "schema")}
+                 if k not in ("inputs", "output_dir", "origin", "schema")}
         blob = json.dumps(basis, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -188,7 +165,6 @@ class RunConfig:
 class TrialResult:
     """Everything computed for one trial."""
 
-    trial_id: str
     kin: KinematicState
     track: Track
     power: PowerSeries
@@ -197,8 +173,7 @@ class TrialResult:
     laps: list[dict] = field(default_factory=list)
 
 
-def analyze_trial(tag: TagSeries, cfg: RunConfig,
-                  trial_id: str = "trial") -> TrialResult:
+def analyze_trial(tag: TagSeries, cfg: RunConfig) -> TrialResult:
     """Run the full estimation chain on one parsed tag series."""
     t = master_timeline(tag, cfg.dt)
     orient = estimate_orientation(
@@ -215,8 +190,8 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig,
     labels = classify_phases(kin, events, cfg.segmentation)
     laps = [{"lap": i, **lap_metrics(kin, power, ev, labels)}
             for i, ev in enumerate(events)]
-    return TrialResult(trial_id=trial_id, kin=kin, track=track, power=power,
-                       events=events, labels=labels, laps=laps)
+    return TrialResult(kin=kin, track=track, power=power, events=events,
+                       labels=labels, laps=laps)
 
 
 def write_laps_csv(result: TrialResult, path: Path) -> None:
@@ -300,7 +275,7 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> dict:
     status: dict = {"trial": trial_id, "input": str(input_path)}
     try:
         tag = parse_tag_csv(input_path, cfg.schema)
-        result = analyze_trial(tag, cfg, trial_id)
+        result = analyze_trial(tag, cfg)
         track_to_csv(result.track, curvature_radius(result.track, cfg.dt),
                      trial_dir / "track.csv")
         artifacts = ["track.csv"]
@@ -404,6 +379,12 @@ def run_report(run_dir: str | Path) -> int:
             for s in trials)):
         raise ValueError("incomplete run manifest: 'trials' is not a list "
                          "of statuses that each name their trial")
+    # A trial's name is its directory in the run: one plain path part.
+    for status in trials:
+        name = status["trial"]
+        if name != Path(name).name or name in ("", ".", ".."):
+            raise ValueError(f"incomplete run manifest: trial name {name!r} "
+                             f"is not a directory name in the run")
 
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)

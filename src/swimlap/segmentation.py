@@ -18,6 +18,7 @@ import numpy as np
 from .energetics import PowerSeries, thrust_work
 from .ingest import moving_average
 from .kinematics import KinematicState
+from .params import check_numbers
 
 REST, TRANSIENT, CONSISTENT, GLIDE = 0, 1, 2, 3
 
@@ -46,11 +47,9 @@ class SegmentationConfig:
     a_thresh: float = 0.2           # m/s^2, transient |a_t| threshold
 
     def __post_init__(self) -> None:
-        for key in ("v_start", "a_thresh"):
-            value = getattr(self, key)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"segmentation.{key} must be finite and "
-                                 f"positive, got {value!r}")
+        check_numbers(self, ("v_start", "a_thresh"),
+                      lambda v: 0.0 < v < np.inf, "a finite number > 0",
+                      prefix="segmentation.")
 
 
 @dataclass

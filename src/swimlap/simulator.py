@@ -26,7 +26,7 @@ import numpy as np
 
 from .ingest import (CSV_COLUMNS, IMU_FIELDS, MAG_FIELDS, TagSeries,
                      write_table)
-from .params import AnimalParams, get_animal
+from .params import AnimalParams, check_numbers, get_animal
 
 IMU_RATE_HZ = 50.0
 SLOW_RATE_HZ = 5.0
@@ -36,16 +36,6 @@ ENVELOPE_RAMP_S = 0.4
 
 class ScenarioError(ValueError):
     """Raised on an invalid scenario setting or an infeasible profile."""
-
-
-def _check(obj, names, ok, need: str, prefix: str = "") -> None:
-    """Reject the first of ``names`` that is not a number passing ``ok``."""
-    for name in names:
-        value = getattr(obj, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not ok(value)):
-            raise ScenarioError(
-                f"{prefix}{name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +49,9 @@ class NoiseSpec:
     speed: float = 0.0   # m/s
 
     def __post_init__(self) -> None:
-        _check(self, [f.name for f in fields(self)],
-               lambda v: 0.0 <= v < math.inf, "a finite number >= 0",
-               prefix="noise.")
+        check_numbers(self, [f.name for f in fields(self)],
+                      lambda v: 0.0 <= v < math.inf, "a finite number >= 0",
+                      prefix="noise.")
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ class LapScenario:
                  "an integer >= 1"),
                 (("seed",), lambda v: isinstance(v, whole) and v >= 0,
                  "an integer >= 0")):
-            _check(self, names, ok, need)
+            check_numbers(self, names, ok, need)
         if self.corner_speed > self.cruise_speed:
             raise ScenarioError(
                 "infeasible profile: corner_speed exceeds cruise_speed")

@@ -17,7 +17,7 @@ def default_lap():
     """One zero-noise lap: 30 m straights, 1.5 m semicircle, 4 m/s cruise."""
     scenario = LapScenario(animal=get_animal("TT01"))
     truth, tag = simulate(scenario)
-    result = analyze_trial(tag, make_config(scenario.animal), "default_lap")
+    result = analyze_trial(tag, make_config(scenario.animal))
     return scenario, truth, tag, result
 
 
@@ -28,7 +28,7 @@ def preset_trials():
     for name in ("TT01", "TT02", "TT03"):
         scenario = preset_scenario(name)
         truth, tag = simulate(scenario)
-        result = analyze_trial(tag, make_config(scenario.animal), name)
+        result = analyze_trial(tag, make_config(scenario.animal))
         out[name] = (scenario, truth, tag, result)
     return out
 

@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 import tempfile
 import tracemalloc
@@ -22,12 +21,10 @@ from swimlap.ingest import (
     SLOW_FIELDS,
     IngestError,
     TagSeries,
-    latlon_to_local,
     local_to_latlon,
     master_timeline,
     moving_average,
     parse_tag_csv,
-    read_boundary_vertex,
     read_table,
     resample_linear,
     write_table,
@@ -607,53 +604,33 @@ class TestMovingAverage:
 
 class TestProjection:
     def test_origin_maps_to_zero(self):
-        x, y = latlon_to_local(21.27, -157.77, origin=(21.27, -157.77))
-        assert x == 0.0 and y == 0.0
+        lat, lon = local_to_latlon(0.0, 0.0, origin=(21.27, -157.77))
+        assert lat == 21.27 and lon == -157.77
 
     def test_lat_step(self):
-        x, y = latlon_to_local(10.0 + 1e-4, 20.0, origin=(10.0, 20.0))
-        assert x == 0.0
-        assert abs(y - EARTH_RADIUS_M * math.radians(1e-4)) < 1e-9
+        # 1e-4 degree of latitude is 11.12 m north.
+        y = EARTH_RADIUS_M * math.radians(1e-4)
         assert abs(y - 11.12) < 0.01
+        lat, lon = local_to_latlon(0.0, y, origin=(10.0, 20.0))
+        assert lon == 20.0
+        assert abs(lat - (10.0 + 1e-4)) < 1e-12
 
     def test_lon_step_at_equator(self):
-        x, y = latlon_to_local(0.0, 1e-4, origin=(0.0, 0.0))
-        assert y == 0.0
-        assert abs(x - 11.12) < 0.01
+        lat, lon = local_to_latlon(11.12, 0.0, origin=(0.0, 0.0))
+        assert lat == 0.0
+        assert abs(lon - 1e-4) < 1e-7
 
     @given(st.floats(-500, 500), st.floats(-500, 500),
            st.floats(-60, 60), st.floats(-179, 179))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_lagoon_scale(self, dx, dy, lat0, lon0):
+        # The equirectangular forward projection, by hand, undoes it.
         lat, lon = local_to_latlon(dx, dy, (lat0, lon0))
-        x, y = latlon_to_local(lat, lon, (lat0, lon0))
+        x = EARTH_RADIUS_M * math.cos(math.radians(lat0)) * math.radians(
+            lon - lon0)
+        y = EARTH_RADIUS_M * math.radians(lat - lat0)
         assert abs(x - dx) < 1e-6
         assert abs(y - dy) < 1e-6
-
-
-class TestBoundary:
-    def write(self, path, ring):
-        path.write_text(json.dumps(
-            {"type": "Feature",
-             "geometry": {"type": "Polygon", "coordinates": [ring]}}))
-        return path
-
-    def test_closed_ring_first_vertex(self, tmp_path):
-        ring = [[-157.77, 21.27], [-157.76, 21.27], [-157.76, 21.28],
-                [-157.77, 21.27]]
-        assert read_boundary_vertex(self.write(tmp_path / "b.geojson",
-                                               ring)) == (21.27, -157.77)
-
-    def test_local_roundtrip(self, tmp_path):
-        origin = (21.27, -157.77)
-        ring = []
-        for dx, dy in [(5, 3), (40, 0), (40, 20), (0, 20), (5, 3)]:
-            lat, lon = local_to_latlon(dx, dy, origin)
-            ring.append([float(lon), float(lat)])
-        lat, lon = read_boundary_vertex(self.write(tmp_path / "b.geojson",
-                                                   ring))
-        x, y = latlon_to_local(lat, lon, origin)
-        assert (float(x), float(y)) == pytest.approx((5.0, 3.0), abs=1e-6)
 
 
 def reference_fmt(value):

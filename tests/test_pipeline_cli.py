@@ -9,21 +9,21 @@ import yaml
 
 from swimlap import pipeline
 from swimlap.cli import main
-from swimlap.ingest import (
-    fmt,
-    local_to_latlon,
-    parse_tag_csv,
-    read_table,
-    write_table,
-)
-from swimlap.params import AnimalParams
+from swimlap.ingest import fmt, parse_tag_csv, read_table, write_table
+from swimlap.params import AnimalParams, get_animal
 from swimlap.pipeline import RunConfig, _normalized_mean, fit_summary
 
 LAGOON_ORIGIN = (21.27, -157.77)
 
-# The method's fixed constants, once config keys, with their old defaults:
-# a config that sets one is refused for the key alone.
+# TT03's preset, written as a mapping of its fields.
+TT03_FIELDS = {"mass": 142.6, "length": 2.2, "p_rmr": 317.6}
+
+# Keys a config once set, each with a value it once took: the method's
+# fixed constants, the lagoon boundary file (its first vertex is the
+# origin) and the animal's fields (now the mapping form of ``animal``).
+# A config that sets one is refused for the key alone.
 REMOVED_KEYS = {
+    "boundary": "lagoon.geojson", "params": TT03_FIELDS,
     "use_mag": True, "beta": 0.1, "smooth_window_s": 1.0,
     "gamma_table": [[0.5, 2.5], [3.0, 1.0]], "v_min_cot": 0.05,
     "grid_n": 201, "segmentation.start_sustain_s": 1.0,
@@ -36,25 +36,16 @@ def read(path: Path) -> str:
     return path.read_text()
 
 
-def write_lagoon(path: Path, corners) -> Path:
-    """GeoJSON polygon through local (x, y) ``corners`` about LAGOON_ORIGIN."""
-    ring = []
-    for dx, dy in [*corners, corners[0]]:
-        lat, lon = local_to_latlon(dx, dy, LAGOON_ORIGIN)
-        ring.append([float(lon), float(lat)])
-    path.write_text(json.dumps(
-        {"type": "Feature",
-         "geometry": {"type": "Polygon", "coordinates": [ring]}}))
-    return path
-
-
 def write_config(path: Path, sim_dir: Path, out: Path, key: str,
                  value) -> None:
     """A TT03 config of ``sim_dir``'s tag that also sets ``key`` to
-    ``value``; ``segmentation.<name>`` sets a key of that block."""
+    ``value``; ``segmentation.<name>`` sets a key of that block, and
+    ``animal.<name>`` one of TT03's fields, written as a mapping."""
     cfg = {"inputs": [str(sim_dir / "tag.csv")], "output_dir": str(out),
            "animal": "TT03"}
     block, _, name = key.rpartition(".")
+    if block == "animal":
+        cfg["animal"] = dict(TT03_FIELDS)
     (cfg.setdefault(block, {}) if block else cfg)[name] = value
     path.write_text(yaml.safe_dump(cfg))
 
@@ -303,6 +294,7 @@ class TestAnalyzeCommand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("key,value", [
         ("station", [1]), ("origin", [21.2]), ("station", [float("nan"), 0]),
+        ("station", None), ("station", [True, 0]), ("origin", ["21.2", "0"]),
         ("dt", 0), ("beta", -1), ("beta", float("nan")),
         ("smooth_window_s", 0), ("smooth_window_s", float("inf")),
         ("v_min_cot", -0.1), ("v_min_cot", float("nan")),
@@ -312,8 +304,13 @@ class TestAnalyzeCommand:
         ("segmentation.a_thresh", float("nan")), ("jobs", 2.5),
         ("jobs", True), ("jobs", "2"), ("output_dir", ["o6"]),
         ("output_dir", ""), ("inputs", "sim/tag.csv"), ("inputs", [1]),
-        ("origin", [91, 0]), ("origin", [-90, 0])],
+        ("origin", [91, 0]), ("origin", [-90, 0]),
+        ("boundary", "lagoon.geojson"), ("params", TT03_FIELDS),
+        ("dt", True), ("segmentation.v_start", True),
+        ("animal.mass", float("nan")), ("animal.mass", float("inf")),
+        ("animal.mass", True)],
         ids=["station_one_number", "origin_one_number", "station_nan",
+             "station_null", "station_bool", "origin_strings",
              "dt_zero", "beta_negative", "beta_nan", "smooth_window_zero",
              "smooth_window_inf", "v_min_cot_negative", "v_min_cot_nan",
              "initial_heading_nan", "grid_n_one", "schema_list",
@@ -321,7 +318,9 @@ class TestAnalyzeCommand:
              "v_start_negative", "a_thresh_nan", "jobs_float", "jobs_bool",
              "jobs_string", "output_dir_list", "output_dir_empty",
              "inputs_string", "inputs_number", "origin_latitude_91",
-             "origin_latitude_minus_90"])
+             "origin_latitude_minus_90", "boundary", "params", "dt_bool",
+             "v_start_bool", "animal_mass_nan", "animal_mass_inf",
+             "animal_mass_bool"])
     def test_invalid_config_values_exit_2(self, sim_dir, tmp_path, capsys,
                                           monkeypatch, key, value):
         # A key that is no longer read is refused as unknown, whatever
@@ -408,73 +407,46 @@ class TestAnalyzeCommand:
         here = threading.get_ident()
         assert calls == [(here, "c.csv"), (here, "a.csv"), (here, "b.csv")]
 
-    def test_geojson_with_boundary(self, sim_dir, tmp_path):
-        boundary = write_lagoon(tmp_path / "lagoon.geojson",
-                                [(0, 0), (45, 0), (45, 25), (0, 25)])
+    def test_geojson_with_origin(self, sim_dir, tmp_path):
         cfg = {"inputs": [str(sim_dir / "tag.csv")],
-               "output_dir": str(tmp_path / "o"),
-               "animal": "TT03",
-               "boundary": str(boundary),
+               "output_dir": str(tmp_path / "o"), "animal": "TT03",
                "origin": list(LAGOON_ORIGIN)}
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
         assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 0
         geo = json.loads(read(tmp_path / "o" / "tag" / "track.geojson"))
         assert geo["geometry"]["type"] == "LineString"
+        # The track starts at the station, (0, 0): the origin itself.
         lon0, lat0 = geo["geometry"]["coordinates"][0]
-        assert abs(lat0 - LAGOON_ORIGIN[0]) < 0.01
-        assert abs(lon0 - LAGOON_ORIGIN[1]) < 0.01
-
-    @pytest.mark.parametrize("content", [
-        {"type": "Polygon"}, [[-157.77, 21.27]],
-        {"type": "Polygon", "coordinates": [[]]},
-        {"type": "Polygon", "coordinates": [
-            [[-157.77, 21.27], [-157.76, 21.27], [-157.77, 21.27]]]},
-        {"type": "Polygon", "coordinates": [
-            [[-157.77, 21.27], [-157.76, 91.0], [-157.76, 21.28]]]},
-        {"type": "Polygon", "coordinates": [
-            [[float("nan"), 21.27], [-157.76, 21.27], [-157.76, 21.28]]]},
-        b"not json", None],
-        ids=["polygon_without_coordinates", "top_level_array", "empty_ring",
-             "two_vertices", "latitude_beyond_90", "longitude_nan",
-             "not_json", "missing_file"])
-    def test_malformed_boundary_exit_2(self, sim_dir, tmp_path, capsys,
-                                       content):
-        boundary = tmp_path / "lagoon.geojson"
-        if isinstance(content, bytes):
-            boundary.write_bytes(content)
-        elif content is not None:
-            boundary.write_text(json.dumps(content))
-        cfg = {"inputs": [str(sim_dir / "tag.csv")],
-               "output_dir": str(tmp_path / "o"), "animal": "TT03",
-               "boundary": str(boundary)}
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
-        capsys.readouterr()
-        assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:"), err
-        assert str(boundary) in err[0], err
+        assert (lat0, lon0) == pytest.approx(LAGOON_ORIGIN, abs=1e-9)
 
     @pytest.mark.parametrize("station,expected", [
-        (None, (5.0, 3.0)), ([0.0, 0.0], (0.0, 0.0))])
-    def test_station_with_boundary(self, sim_dir, tmp_path, station,
-                                   expected):
-        # Without a station the track starts at the boundary's first
-        # vertex; an explicit one, even (0, 0), is kept.
-        boundary = write_lagoon(tmp_path / "lagoon.geojson",
-                                [(5, 3), (45, 3), (45, 25), (5, 25)])
+        (None, (0.0, 0.0)), ([5.0, 3.0], (5.0, 3.0))])
+    def test_track_starts_at_station(self, sim_dir, tmp_path, station,
+                                     expected):
         cfg = {"inputs": [str(sim_dir / "tag.csv")],
-               "output_dir": str(tmp_path / "o"), "animal": "TT03",
-               "boundary": str(boundary), "origin": list(LAGOON_ORIGIN)}
+               "output_dir": str(tmp_path / "o"), "animal": "TT03"}
         if station is not None:
             cfg["station"] = station
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
         assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 0
         manifest = json.loads(read(tmp_path / "o" / "manifest.json"))
-        assert manifest["config"]["station"] == pytest.approx(expected,
-                                                              abs=1e-6)
+        assert manifest["config"]["station"] == list(expected)
         first = read(tmp_path / "o" / "tag" / "track.csv").splitlines()[1]
         x0, y0 = (float(c) for c in first.split(",")[1:3])
-        assert (x0, y0) == pytest.approx(expected, abs=1e-6)
+        assert (x0, y0) == expected
+
+    @pytest.mark.parametrize("flag,mass", [
+        ([], 244.7), (["--animal", "TT03"], get_animal("TT03").mass)])
+    def test_animal_mapping_and_flag(self, sim_dir, tmp_path, flag, mass):
+        # A config's animal may be a mapping of fields; the flag wins over it.
+        cfg = {"inputs": [str(sim_dir / "tag.csv")],
+               "output_dir": str(tmp_path / "o"),
+               "animal": {"mass": 244.7, "length": 2.54, "p_rmr": 442.9}}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        assert main(["analyze", "--config", str(tmp_path / "cfg.yaml"),
+                     *flag]) == 0
+        manifest = json.loads(read(tmp_path / "o" / "manifest.json"))
+        assert manifest["config"]["animal"]["mass"] == mass
 
 
 class TestConfigHash:
@@ -605,9 +577,11 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("manifest", [
         "[]", "null", '{"trials": 5}', '{"trials": ["x"]}',
-        '{"trials": [{"status": "ok"}]}'],
+        '{"trials": [{"status": "ok"}]}',
+        '{"trials": [{"trial": "../x", "status": "ok"}]}',
+        '{"trials": [{"trial": "..", "status": "ok"}]}'],
         ids=["list", "null", "trials_number", "trials_strings",
-             "trial_without_name"])
+             "trial_without_name", "trial_outside_run", "trial_parent"])
     def test_malformed_manifest_exit_1(self, tmp_path, capsys, manifest):
         (tmp_path / "manifest.json").write_text(manifest)
         capsys.readouterr()
