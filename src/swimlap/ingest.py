@@ -1,11 +1,11 @@
 """Raw tag-channel ingestion: CSV parsing, resampling, smoothing, geodesy.
 
 This module also holds the one CSV table codec (:func:`write_table`,
-:func:`read_table`) and number format (:data:`NUMBER_FORMAT`, :func:`fmt`)
-of every artifact. A table is written with the bytes of ``csv.writer``
-(minimal quoting, ``\\r\\n`` line ends), one ``%`` per row on a row
-template: 1-D float array columns are formatted with
-:data:`NUMBER_FORMAT`, converted to Python floats 4096 rows at a time;
+:func:`read_table`, :func:`read_numbers`) and number format
+(:data:`NUMBER_FORMAT`, :func:`fmt`) of every artifact. A table is written
+with the bytes of ``csv.writer`` (minimal quoting, ``\\r\\n`` line ends),
+one ``%`` per row on a row template: 1-D float array columns are formatted
+with :data:`NUMBER_FORMAT`, converted to Python floats 4096 rows at a time;
 any other cell is text, quoted if it holds ``,``, ``"``, ``\\r`` or
 ``\\n``, an ``int`` written with ``str``, or another number written with
 :func:`fmt`.
@@ -17,21 +17,25 @@ downstream analysis runs on a uniform 5 Hz master timeline, an array of
 instants (:func:`master_timeline`) whose sample period is the run's
 ``RunConfig.dt``.
 
-A clean tag file, of numbers and empty cells only, is parsed by numpy's C
-reader in 64 KB chunks; any other file goes, whole, through the row loop
-that defines the parse rules. The result is the same either way.
+A clean tag file is read as bytes, in 64 KB chunks of whole lines. The rows
+of a chunk are grouped by which of their read cells are empty, and numpy's
+C reader converts each group's filled read cells in one call; it never sees
+an empty cell, and columns that are not read are never converted. Any other
+file (a blank line, a bare ``\\r``, a quote, a byte outside ASCII, a row of
+another length, or a read cell that is no number) goes, whole, through the
+row loop that defines the parse rules. The result is the same either way.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
-import io
 import math
 import warnings
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -115,7 +119,9 @@ def parse_tag_csv(path: str | Path,
 
     # utf-8-sig skips a byte-order mark, also again after fh.seek(0).
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        bom = fh.buffer.peek(3).startswith(codecs.BOM_UTF8)
+        head: list[str] = []  # the lines the header is read from
+        reader = csv.reader(head.append(line) or line for line in fh)
         header = next(reader, [])
         for required in ("t",) + IMU_FIELDS + SLOW_FIELDS:
             if colmap[required] not in header:
@@ -126,7 +132,10 @@ def parse_tag_csv(path: str | Path,
         index = {name: i for i, name in enumerate(header)}
         read = [index[colmap[n]] for n in ("t",) + IMU_FIELDS
                 + (MAG_FIELDS if has_mag else ()) + SLOW_FIELDS]
-        parsed = _parse_clean(fh, read, len(header), reader.line_num)
+        # The body follows the header's bytes.
+        fh.buffer.seek(len(codecs.BOM_UTF8) * bom
+                       + len("".join(head).encode()))
+        parsed = _parse_clean(fh.buffer, read, len(header), reader.line_num)
         if parsed is None:
             fh.seek(0)
             reader = csv.reader(fh)
@@ -221,69 +230,98 @@ def _parse_rows(reader, read: list[int]) -> _Parsed:
     return t_imu, imu_buf, t_slow, slow_buf, flagged
 
 
-# Characters of the body to read at a time: the memory the C reader takes
-# grows with it, and at 1 MB it peaks above 3x the file size.
+# Bytes of the body to read at a time: the memory the C reader takes grows
+# with it, and at 1 MB it peaks above 3x the file size.
 _CHUNK = 1 << 16
-# The bytes that fill an empty cell.
-_NAN = np.frombuffer(b"nan", np.uint8)
+# The bytes that str.strip removes from a cell.
+_BLANK = np.array([chr(b).isspace() for b in range(256)])
 
 
 def _parse_clean(fh, read: list[int], ncols: int, line: int) -> _Parsed | None:
-    """Parse the rest of ``fh`` as :func:`_parse_rows` would, with numpy.
+    """Parse the rest of binary ``fh`` as :func:`_parse_rows` would.
 
-    Reads ``_CHUNK`` characters of whole lines at a time, each line after
-    file line ``line``. Returns None, having read part of the file, when a
-    chunk is not made of rows of ``ncols`` numbers and empty cells: a cell
-    of text (``nan`` too, quotes, or a character outside ASCII), a blank
-    line, a bare ``\\r`` line end inside the chunk, or a row of another
-    length (which the row loop may flag).
+    Reads ``_CHUNK`` bytes of whole lines at a time, each line after file
+    line ``line``. The rows of a chunk are grouped by which of their read
+    cells are empty (of white space alone, which the row loop strips),
+    and the rules of the row loop are applied once per group: a row
+    without a time stamp carries nothing, and a partly filled channel
+    group flags the row. The C reader converts the read cells of
+    every other group, never an empty cell; a row with a non-finite value
+    is flagged. Cells that are not read are never converted.
+
+    Returns None, having read part of the file, when a chunk is not rows of
+    ``ncols`` cells that ``csv.reader`` would split at the same commas (a
+    blank line, a bare ``\\r``, a quote, a NUL or a byte outside ASCII), or
+    when a read cell that is not empty is no number to the C reader.
     """
     m = len(read) - 2
     t_imu, imu_buf = array("d"), array("d")
     t_slow, slow_buf = array("d"), array("d")
     flagged: list[int] = []
+    bits = 1 << np.arange(len(read))
     while lines := fh.readlines(_CHUNK):
-        text = "".join(lines)
-        # loadtxt reads a literal nan as a number and skips a blank line;
-        # any other text fails it, as does a bare \r in mid-chunk.
-        if "n" in text or "N" in text or not text.isascii() \
-                or "\n" in lines or "\r\n" in lines or "\r" in lines:
+        body = b"".join(lines)
+        if not body.isascii() or b'"' in body or b"\0" in body:
             return None
-        # So an empty cell can read as nan, in one pass over the bytes: a
-        # cell starts at the chunk's start and after each ',' and each
-        # '\n' but a last one, and is empty where ',', '\r', '\n' or the
-        # chunk's end follows at once.
-        raw = np.frombuffer(text.encode(), np.uint8)
-        comma, cr, lf = (raw == ord(c) for c in ",\r\n")
-        start = np.insert(comma | lf, 0, True)
-        start[-1] = comma[-1]
-        at = np.flatnonzero(start & np.append(comma | cr | lf, True))
-        filled = np.insert(raw, at.repeat(3), np.tile(_NAN, len(at)))
-        try:
-            table = np.loadtxt(io.StringIO(filled.tobytes().decode()),
-                               delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+        raw = np.frombuffer(body, np.uint8)
+        n = len(lines)
+        # Each cell ends at a ',' or at its line's end; a last line may
+        # have no line end.
+        lf = raw == ord("\n")
+        ends = np.flatnonzero(lf | (raw == ord(",")))
+        line_ends = np.flatnonzero(lf)
+        if len(line_ends) < n:
+            ends = np.append(ends, len(raw))
+            line_ends = np.append(line_ends, len(raw))
+        if len(ends) != n * ncols \
+                or not np.array_equal(ends[ncols - 1::ncols], line_ends):
             return None
-        if table.shape != (len(lines), ncols):
-            return None
-        vals = table[:, read]
-        empty = np.isnan(vals)
+        low = np.flatnonzero((raw <= ord(" ")) & ~lf)
+        blank = low[_BLANK[raw[low]]]
+        if np.count_nonzero(raw[blank] == ord("\r")) \
+                != np.count_nonzero(raw[line_ends - 1] == ord("\r")):
+            return None  # a bare \r ends a line to csv.reader
+        # The row loop strips each cell, so a cell is empty when its bytes
+        # between two separators are all white space (such as the \r of a
+        # CRLF line end): count each cell's white-space bytes.
+        size = np.diff(ends, prepend=-1) - 1
+        size -= np.bincount(np.searchsorted(ends, blank), minlength=len(ends))
+        empty = size.reshape(n, ncols)[:, read] == 0
 
-        def partial(a: int, b: int) -> np.ndarray:
-            n = empty[:, a:b].sum(axis=1)
-            return (0 < n) & (n < b - a)
-
-        bad = partial(1, 7) | partial(7, m) | partial(m, m + 2) \
-            | np.isinf(vals).any(axis=1)
-        timed = ~empty[:, 0]  # a row without a time stamp carries nothing
+        values = np.full(empty.shape, np.nan)
+        bad = np.zeros(n, bool)
+        keys = empty @ bits
+        kinds = np.unique(keys)
+        for kind in kinds:
+            e = (kind & bits) != 0  # which read cells of the group are empty
+            if e[0]:
+                continue  # a row without a time stamp carries nothing
+            rows = keys == kind
+            if any(0 < np.count_nonzero(e[a:b]) < b - a
+                   for a, b in ((1, 7), (7, m), (m, m + 2))):
+                bad |= rows  # a partly filled channel group
+                continue
+            cells = np.flatnonzero(~e)
+            try:
+                vals = np.loadtxt(
+                    lines if len(kinds) == 1
+                    else list(compress(lines, rows.tolist())),
+                    delimiter=",", comments=None, ndmin=2,
+                    usecols=[read[c] for c in cells])
+            except ValueError:  # a read cell that is no number
+                return None
+            rows = np.flatnonzero(rows)
+            bad[rows] = ~np.isfinite(vals).all(axis=1)
+            values[np.ix_(rows, cells)] = vals
+        timed = ~empty[:, 0]
         flagged += (line + 1 + np.flatnonzero(timed & bad)).tolist()
         ok = timed & ~bad
         imu, slow = ok & ~empty[:, 1], ok & ~empty[:, m]
-        t_imu.frombytes(vals[imu, 0].tobytes())
-        imu_buf.frombytes(vals[imu, 1:m].tobytes())
-        t_slow.frombytes(vals[slow, 0].tobytes())
-        slow_buf.frombytes(vals[slow, m:].tobytes())
-        line += len(lines)
+        t_imu.frombytes(values[imu, 0].tobytes())
+        imu_buf.frombytes(values[imu, 1:m].tobytes())
+        t_slow.frombytes(values[slow, 0].tobytes())
+        slow_buf.frombytes(values[slow, m:].tobytes())
+        line += n
     return t_imu, imu_buf, t_slow, slow_buf, flagged
 
 
@@ -358,6 +396,24 @@ def read_table(path: str | Path) -> dict[str, list[str]]:
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
+def read_numbers(path: str | Path,
+                 names: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """Read the number columns ``names``, by default every column, of a
+    table written by :func:`write_table` with numpy's C reader: name ->
+    values."""
+    with Path(path).open(newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: empty table")
+        names = header if names is None else list(names)
+        for name in names:
+            if name not in header:
+                raise ValueError(f"{path}: missing column {name!r}")
+        values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                            usecols=[header.index(name) for name in names])
+    return dict(zip(names, values.T))
+
+
 def master_timeline(tag: TagSeries, dt: float) -> np.ndarray:
     """The analysis instants ``t0 + dt * [0..n)`` of ``tag``.
 
@@ -426,10 +482,14 @@ def moving_average(values: np.ndarray, window_s: float, dt: float) -> np.ndarray
     half = w // 2
     if half == 0 or n == 1:
         return values.copy()
-    idx = np.arange(n)
-    k = np.minimum(half, np.minimum(idx, n - 1 - idx))
     csum = np.concatenate(([0.0], np.cumsum(values)))
-    return (csum[idx + k + 1] - csum[idx - k]) / (2 * k + 1)
+    out = np.empty(n)
+    out[half:n - half] = (csum[w:] - csum[:-w]) / w
+    # The edges, where the window shrinks to 2 * k + 1 samples.
+    idx = np.r_[:min(half, n), max(half, n - half):n]
+    k = np.minimum(idx, n - 1 - idx)
+    out[idx] = (csum[idx + k + 1] - csum[idx - k]) / (2 * k + 1)
+    return out
 
 
 def local_to_latlon(x: float | np.ndarray, y: float | np.ndarray,

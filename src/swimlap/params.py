@@ -119,11 +119,10 @@ ANIMALS: dict[str, AnimalParams] = {
 
 def get_animal(name: str) -> AnimalParams:
     """Look up a named preset animal."""
-    try:
-        return ANIMALS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown animal {name!r}; presets: {sorted(ANIMALS)}") from None
+    if name not in ANIMALS:
+        raise ValueError(
+            f"unknown animal {name!r}; presets: {sorted(ANIMALS)}")
+    return ANIMALS[name]
 
 
 def animal_from(value) -> AnimalParams:
@@ -132,6 +131,10 @@ def animal_from(value) -> AnimalParams:
     if isinstance(value, str):
         return get_animal(value)
     if isinstance(value, dict):
+        unknown = sorted(set(value) - set(AnimalParams.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: "
+                             f"{[f'animal.{k}' for k in unknown]}")
         return AnimalParams(**value)
     raise ValueError(f"animal must be a preset name {sorted(ANIMALS)} or a "
                      f"mapping of AnimalParams fields, got {value!r}")

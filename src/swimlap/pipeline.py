@@ -28,6 +28,7 @@ from .ingest import (
     fmt,
     master_timeline,
     parse_tag_csv,
+    read_numbers,
     read_table,
     resample_linear,
     write_table,
@@ -338,17 +339,19 @@ def _normalized_mean(path: Path) -> dict[str, list]:
     percentage without any finite sample gets NaN. Every lap must hold
     the first lap's percentage grid.
     """
-    norm = read_table(path)
-    laps, pct = norm.pop("lap"), norm.pop("pct")
-    grid = pct[:laps.count(laps[0])] if laps else []
-    n_laps = len(pct) // len(grid) if grid else 0
-    if pct != grid * n_laps:
+    norm = read_numbers(path)
+    lap, pct = norm.pop("lap"), norm.pop("pct")
+    grid = pct[:np.count_nonzero(lap == lap[0])] if len(lap) else pct
+    n_laps = len(pct) // len(grid) if len(grid) else 0
+    if not np.array_equal(pct, np.tile(grid, n_laps)):
         raise ValueError(f"{path}: laps do not share one percentage grid")
-    table: dict[str, list] = {"pct": grid}
-    for c, cells in norm.items():
+    # The grid's cells as the file holds them: its numbers were written
+    # with fmt, so fmt gives the same text back.
+    table: dict[str, list] = {"pct": [fmt(p) for p in grid]}
+    for c, values in norm.items():
         # Percentages x laps, C-ordered: each row sums as numpy sums the
         # values of one percentage alone.
-        x = np.array(cells, dtype=float).reshape(n_laps, len(grid)).T.copy()
+        x = values.reshape(n_laps, len(grid)).T.copy()
         ok = np.isfinite(x)
         n = ok.sum(axis=1)
         with np.errstate(invalid="ignore"):
@@ -404,8 +407,6 @@ def run_report(run_dir: str | Path) -> int:
         if not lap_ids:
             continue
 
-        # Each table's text is freed as soon as its numbers are taken, so the
-        # normalized and track text are never held while laps are aligned.
         write_table(report_dir / f"{trial}_normalized_mean.csv",
                     _normalized_mean(trial_dir / "normalized.csv"))
 
@@ -423,9 +424,8 @@ def run_report(run_dir: str | Path) -> int:
                 for stat in CLASS_STATS:
                     speed[stat].append(laps[f"{cls}_{stat}"][i])
 
-        track = read_table(trial_dir / "track.csv")
-        t, x, y = (np.array(track[c], dtype=float) for c in ("t", "x", "y"))
-        del track
+        t, x, y = read_numbers(trial_dir / "track.csv",
+                               ("t", "x", "y")).values()
         tracks, corners, keep = [], [], []
         for i, lap_id in enumerate(lap_ids):
             # The lap's half-open sample window, as in LapEvents.window.

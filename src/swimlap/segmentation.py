@@ -306,24 +306,22 @@ def lap_metrics(states: KinematicState, power: PowerSeries,
     t = states.t[lap]
     lap_labels = labels[lap]
     p_thrust = power.p_thrust[lap]
+    v_lap, cot_lap = states.v[lap], power.cot[lap]
     out_mask = t < events.t_c
-
-    def phase_s(code: int, half: np.ndarray | None = None) -> float:
-        m = lap_labels == code
-        if half is not None:
-            m = m & half
-        return float(np.count_nonzero(m) * dt)
+    phases = (TRANSIENT, CONSISTENT, GLIDE)
+    masks = {code: lap_labels == code for code in phases}
+    n_all = {code: np.count_nonzero(masks[code]) for code in phases}
+    n_out = {code: np.count_nonzero(masks[code] & out_mask)
+             for code in phases}
+    n_ret = {code: n_all[code] - n_out[code] for code in phases}
 
     def phase_work(code: int, rectify: bool) -> float:
-        mask = lap_labels == code
-        if not mask.any():
+        if not n_all[code]:
             return 0.0
-        return thrust_work(p_thrust, dt, window=mask, rectify=rectify)
+        return thrust_work(p_thrust, dt, window=masks[code], rectify=rectify)
 
-    work_rect = {code: phase_work(code, True)
-                 for code in (TRANSIENT, CONSISTENT, GLIDE)}
-    work_signed = {code: phase_work(code, False)
-                   for code in (TRANSIENT, CONSISTENT, GLIDE)}
+    work_rect = {code: phase_work(code, True) for code in phases}
+    work_signed = {code: phase_work(code, False) for code in phases}
 
     # The lap's one turn radius, v/|omega| at the cornering event.
     omega_c = abs(states.omega[events.corner_idx])
@@ -339,8 +337,8 @@ def lap_metrics(states: KinematicState, power: PowerSeries,
         "turn_end": events.turn_end,
         "turn_duration_s": events.turn_duration,
         "path_length_m": float(np.sum(states.v_xy[lap]) * dt),
-        "peak_speed_ms": float(states.v[lap].max()),
-        "mean_speed_ms": float(states.v[lap].mean()),
+        "peak_speed_ms": float(v_lap.max()),
+        "mean_speed_ms": float(v_lap.mean()),
         "peak_power_w": float(p_thrust.max()),
         "mean_power_w": float(p_thrust.mean()),
         "peak_omega_rads": float(np.abs(states.omega[lap]).max()),
@@ -348,16 +346,16 @@ def lap_metrics(states: KinematicState, power: PowerSeries,
         "thrust_work_j": thrust_work(p_thrust, dt),
         "thrust_work_signed_j": thrust_work(p_thrust, dt, rectify=False),
         "drag_work_j": thrust_work(power.p_drag[lap], dt, rectify=False),
-        "mean_cot": float(np.nanmean(power.cot[lap]))
-        if np.isfinite(power.cot[lap]).any() else float("nan"),
-        "transient_s": phase_s(TRANSIENT),
-        "consistent_s": phase_s(CONSISTENT),
-        "glide_s": phase_s(GLIDE),
-        "out_transient_s": phase_s(TRANSIENT, out_mask),
-        "out_consistent_s": phase_s(CONSISTENT, out_mask),
-        "ret_transient_s": phase_s(TRANSIENT, ~out_mask),
-        "ret_consistent_s": phase_s(CONSISTENT, ~out_mask),
-        "ret_glide_s": phase_s(GLIDE, ~out_mask),
+        "mean_cot": float(np.nanmean(cot_lap))
+        if np.isfinite(cot_lap).any() else float("nan"),
+        "transient_s": float(n_all[TRANSIENT] * dt),
+        "consistent_s": float(n_all[CONSISTENT] * dt),
+        "glide_s": float(n_all[GLIDE] * dt),
+        "out_transient_s": float(n_out[TRANSIENT] * dt),
+        "out_consistent_s": float(n_out[CONSISTENT] * dt),
+        "ret_transient_s": float(n_ret[TRANSIENT] * dt),
+        "ret_consistent_s": float(n_ret[CONSISTENT] * dt),
+        "ret_glide_s": float(n_ret[GLIDE] * dt),
         "work_transient_j": work_rect[TRANSIENT],
         "work_consistent_j": work_rect[CONSISTENT],
         "work_glide_j": work_rect[GLIDE],
@@ -367,12 +365,12 @@ def lap_metrics(states: KinematicState, power: PowerSeries,
     }
 
     for cls, codes in PHASE_CLASSES.items():
-        mask = np.isin(lap_labels, codes)
+        mask = np.logical_or.reduce([masks[code] for code in codes])
         stats = [float("nan")] * len(CLASS_STATS)
         if mask.any():
-            v = float(states.v[lap][mask].mean())
+            v = float(v_lap[mask].mean())
             p = float(p_thrust[mask].mean())
-            cot = power.cot[lap][mask]
+            cot = cot_lap[mask]
             stats = [v, p, float(np.nanmean(cot)) if np.isfinite(cot).any()
                      else float("nan")]
         metrics.update(zip([f"{cls}_{stat}" for stat in CLASS_STATS], stats))

@@ -356,10 +356,10 @@ def fast_parse(path, schema=None):
         return parse_tag_csv(path, schema)
 
 
-# Cells of a clean file: numbers, some space-padded, empty cells and
-# numbers that overflow to inf.
+# Cells of a clean file: numbers, some space-padded, empty and blank cells
+# and numbers that overflow to inf.
 CLEAN_CELL = st.one_of(NUMBER, NUMBER, NUMBER, st.sampled_from(
-    ["", "", "1e400", "-1e400", " 2.5", "-0"]))
+    ["", "", " ", "1e400", "-1e400", " 2.5", "-0"]))
 
 
 class TestCleanFiles:
@@ -444,9 +444,12 @@ class TestCleanFiles:
           "0.4,0,0,9.81,0,0,0,1,0,0,1.0,2.0,"], [3]),
         # The temperature is never read, also when it is no number.
         (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,21..5",
-          "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,-"], [])],
+          "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,-"], []),
+        # A control byte that is no white space is no empty cell.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,",
+          "\x01,0,0,9.81,0,0,0,1,0,0,1.0,2.0,"], [3])],
         ids=["literal_nan", "quoted_cell", "hash_in_cell", "space_padded",
-             "blank_line", "bare_cr", "garbled_temp"])
+             "blank_line", "bare_cr", "garbled_temp", "control_byte"])
     def test_irregular_cells(self, tmp_path, rows, flagged):
         path = write_rows(tmp_path / "a.csv", rows)
         with warnings.catch_warnings():
@@ -509,6 +512,71 @@ class TestCleanFiles:
             got = parse_outcome(parse_tag_csv, bom)
         assert loop.called == blank_line
         assert_same_outcome(got, parse_outcome(parse_tag_csv, plain))
+
+    @pytest.mark.parametrize("temp", [True, False], ids=["temp", "no_temp"])
+    @pytest.mark.parametrize("final_end", [True, False],
+                             ids=["final_line_end", "no_final_line_end"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_mixed_rows_in_one_chunk(self, tmp_path, end, final_end, temp):
+        # IMU-only, slow-only, both, untimed and partial rows in one chunk.
+        # Without a temp column the last column read is speed, so the
+        # line end follows a read cell.
+        rows = ["0.0,0,0,9.81,0,0,0,,,,1.0,2.0,",    # both
+                "0.02,0,0,9.81,0,0,0,,,,,,",         # IMU only
+                "0.04,,,,,,,,,,1.0,2.0,",            # slow only
+                ",0,0,9.81,0,0,0,,,,1.0,2.0,",       # untimed
+                "0.06,0,0,9.81,0,0,0,,,,,2.0,",      # partial slow
+                "0.08,0,0,9.81,,0,0,,,,,,",          # partial IMU
+                "0.1,,,,,,,,,,,,",                   # timed, no data
+                "0.12,0,0,9.81,0,0,0,,,,3.0,4.0,"]   # both
+        header = FULL_HEADER
+        if not temp:
+            header = header.removesuffix(",temp")
+            rows = [row.removesuffix(",") for row in rows]
+        body = end.join([header, *rows]) + (end if final_end else "")
+        path = tmp_path / "a.csv"
+        path.write_bytes(body.encode())
+        got = parse_outcome(fast_parse, path)
+        assert_same_outcome(got, parse_outcome(loop_parse, path))
+        assert got["flagged_rows"] == [6, 7]
+        assert got["t_imu"].tolist() == [0.0, 0.02, 0.12]
+        assert got["t_slow"].tolist() == [0.0, 0.04, 0.12]
+        assert got["speed"].tolist() == [2.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("rows, flagged", [
+        # Text in the temperature or an extra column, which are not read.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,n/a,x",
+          "0.2,0,0,9.81,0,0,0,1,0,0,1.0,2.0,21..5,-"], []),
+        # Text in a row that is flagged for a partly filled channel group.
+        (["0.0,0,0,9.81,0,0,0,1,0,0,1.0,2.0,,",
+          "0.2,0,x,9.81,,0,0,1,0,0,1.0,2.0,,",
+          "0.4,0,0,9.81,0,0,0,1,0,0,n/a,,,"], [3, 4]),
+        # Blank cells are empty cells: the IMU group is absent, not partial.
+        (["0.0, ,\t, , , , , , , ,1.0,2.0,,",
+          "0.2,0,0,9.81,0,0,0,1,0,0, , ,,"], [])],
+        ids=["unread_columns", "flagged_row", "blank_cells"])
+    def test_cells_never_converted_stay_on_numpy_path(self, tmp_path, rows,
+                                                      flagged):
+        path = write_rows(tmp_path / "a.csv", rows, FULL_HEADER + ",extra")
+        got = parse_outcome(fast_parse, path)
+        assert_same_outcome(got, parse_outcome(loop_parse, path))
+        assert got["flagged_rows"] == flagged
+
+    @pytest.mark.parametrize("bom", [False, True], ids=["no_bom", "bom"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_body_starts_after_header_bytes(self, tmp_path, end, bom):
+        # The header ends in any line end and names a column outside
+        # ASCII, so its bytes outnumber its characters.
+        header = FULL_HEADER + ",température"
+        rows = [f"{0.02 * i:.2f},0,0,9.81,0,0,0,1,0,0,1.0,2.0,21,"
+                for i in range(3)]
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + (header + end).encode()
+                         + "".join(row + "\n" for row in rows).encode())
+        got = parse_outcome(fast_parse, path)
+        assert_same_outcome(got, parse_outcome(loop_parse, path))
+        assert got["t_imu"].tolist() == [0.0, 0.02, 0.04]
 
     def test_bad_row_in_last_chunk(self, tmp_path):
         # The numpy reader has read every chunk but the last when it

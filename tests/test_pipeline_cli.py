@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import threading
@@ -147,6 +148,17 @@ class TestSimulateCommand:
         assert err[0].startswith(
             "error: " if path_error else "error: invalid scenario: "), err
         assert name in err[0], err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_animal_exit_2(self, tmp_path, capsys):
+        # The reason as it is, not the quoted text of a KeyError.
+        (tmp_path / "scn.yaml").write_text("animal: TT99\n")
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(tmp_path / "scn.yaml"),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid scenario: unknown animal 'TT99'; "
+            "presets: ['TT01', 'TT02', 'TT03']"]
         assert not (tmp_path / "o").exists()
 
     def test_missing_scenario_exit_2(self, tmp_path):
@@ -347,6 +359,25 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: invalid config: unknown config keys: "
                        f"['{key}']"], err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, reason", [
+        (["--animal", "TT99"],
+         "unknown animal 'TT99'; presets: ['TT01', 'TT02', 'TT03']"),
+        (["--config", "{tmp}/cfg.yaml"],
+         "unknown config keys: ['animal.foo']")],
+        ids=["unknown_preset", "unknown_animal_field"])
+    def test_unknown_animal_exit_2(self, sim_dir, tmp_path, capsys, args,
+                                   reason):
+        # One unquoted line, as for any other config key.
+        write_config(tmp_path / "cfg.yaml", sim_dir, tmp_path / "o",
+                     "animal.foo", 1)
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(sim_dir / "tag.csv"),
+                     "--output-dir", str(tmp_path / "o"),
+                     *(a.format(tmp=tmp_path) for a in args)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: invalid config: {reason}"]
         assert not (tmp_path / "o").exists()
 
     def test_failing_trial_continues_exit_1(self, sim_dir, tmp_path, capsys):
@@ -591,12 +622,25 @@ class TestReportCommand:
         assert err[0].startswith("error: incomplete run manifest: "), err
         assert not (tmp_path / "report").exists()
 
+    def test_malformed_track_exit_1(self, run_dir, tmp_path, capsys):
+        # The message names the file and the column it lacks.
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        track = run / "tag" / "track.csv"
+        header, *rows = read(track).splitlines()
+        i = header.split(",").index("x")
+        track.write_text("".join(
+            ",".join(cells[:i] + cells[i + 1:]) + "\n"
+            for cells in (line.split(",") for line in [header, *rows])))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {track}: missing column 'x'"]
+
     def test_aligned_tracks_hold_lap_windows(self, run_dir):
         # Each corner-aligned lap holds the lap's half-open sample window
         # [t_start, t_end), duration_s / dt samples.
         main(["report", "--run-dir", str(run_dir)])
-        import csv
-
         with (run_dir / "tag" / "laps.csv").open() as fh:
             laps = list(csv.DictReader(fh))
         with (run_dir / "report" / "corner_aligned_tracks.csv").open() as fh:
@@ -607,8 +651,6 @@ class TestReportCommand:
 
     def test_work_partition_identity(self, run_dir):
         main(["report", "--run-dir", str(run_dir)])
-        import csv
-
         with (run_dir / "report" / "phase_work.csv").open() as fh:
             for row in csv.DictReader(fh):
                 # Active fluking is the sum of the printed cells.
@@ -624,8 +666,6 @@ class TestReportCommand:
         assert main(["analyze", "--input", str(sim / "tag.csv"),
                      "--output-dir", str(out), "--animal", "TT01"]) == 0
         assert main(["report", "--run-dir", str(out)]) == 0
-        import csv
-
         with (out / "tag" / "normalized.csv").open() as fh:
             norm = list(csv.DictReader(fh))
         with (out / "report" / "tag_normalized_mean.csv").open() as fh:
@@ -651,8 +691,6 @@ class TestReportCommand:
         assert main(["analyze", "--input", str(sim / "tag.csv"),
                      "--output-dir", str(out), "--animal", "TT01"]) == 0
         assert main(["report", "--run-dir", str(out)]) == 0
-        import csv
-
         with (out / "report" / "tag_normalized_mean.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 201
@@ -725,6 +763,37 @@ class TestNormalizedMean:
             assert np.isfinite(want_c[keep]).all(), c
             np.testing.assert_allclose(got_c[keep], want_c[keep],
                                        rtol=1e-12, atol=0.0, err_msg=c)
+
+    def test_non_finite_cells_read_back(self, run_dir, tmp_path):
+        # A track radius of inf is never read; a cot of nan is left out
+        # of every average, which is then nan. Every other report cell
+        # stays as it was.
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        shutil.rmtree(run / "report", ignore_errors=True)
+        assert main(["report", "--run-dir", str(run)]) == 0
+        before = {p.name: read(p) for p in (run / "report").iterdir()}
+        for name, column, cell in (("track.csv", "R", "inf"),
+                                   ("normalized.csv", "cot", "nan")):
+            path = run / "tag" / name
+            header, *rows = read(path).splitlines()
+            i = header.split(",").index(column)
+            rows = [",".join(cells[:i] + [cell] + cells[i + 1:])
+                    for cells in (row.split(",") for row in rows)]
+            path.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["report", "--run-dir", str(run)]) == 0
+        after = {p.name: read(p) for p in (run / "report").iterdir()}
+        assert after.keys() == before.keys()
+        for name in after.keys() - {"tag_normalized_mean.csv"}:
+            assert after[name] == before[name], name
+        mean, want = (list(csv.DictReader(
+            table["tag_normalized_mean.csv"].splitlines()))
+            for table in (after, before))
+        assert len(mean) == len(want) == 201
+        for got_row, want_row in zip(mean, want):
+            assert got_row["cot_mean"] == got_row["cot_std"] == "nan"
+            for c in got_row.keys() - {"cot_mean", "cot_std"}:
+                assert got_row[c] == want_row[c], c
 
     @pytest.mark.parametrize("edit", ["drop_row", "shift_pct"])
     def test_laps_off_one_grid_exit_1(self, run_dir, tmp_path, capsys,
