@@ -52,6 +52,10 @@ def scenario_from_dict(raw: dict) -> LapScenario:
     if noise is not None:
         if not isinstance(noise, dict):
             raise ScenarioError(f"noise must be a mapping, got {noise!r}")
+        unknown = sorted(set(noise) - set(NoiseSpec.__dataclass_fields__))
+        if unknown:
+            raise ScenarioError(f"unknown scenario keys: "
+                                f"{[f'noise.{k}' for k in unknown]}")
         data["noise"] = NoiseSpec(**noise)
     if preset is not None and animal is not None:
         raise ScenarioError("scenario sets both 'preset' and 'animal'; "
@@ -81,7 +85,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raw["n_laps"] = args.laps
         scenario = scenario_from_dict(raw)
         build_lap_phases(scenario)  # infeasible geometry raises here
-    except (ScenarioError, TypeError, KeyError, ValueError, OSError,
+    except (ScenarioError, TypeError, ValueError, OSError,
             yaml.YAMLError) as exc:
         # One line, however many the message spans (a YAML error's do).
         print(f"error: invalid scenario: {' '.join(str(exc).split())}",

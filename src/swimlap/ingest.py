@@ -4,11 +4,11 @@ This module also holds the one CSV table codec (:func:`write_table`,
 :func:`read_table`, :func:`read_numbers`) and number format
 (:data:`NUMBER_FORMAT`, :func:`fmt`) of every artifact. A table is written
 with the bytes of ``csv.writer`` (minimal quoting, ``\\r\\n`` line ends),
-one ``%`` per row on a row template: 1-D float array columns are formatted
-with :data:`NUMBER_FORMAT`, converted to Python floats 4096 rows at a time;
-any other cell is text, quoted if it holds ``,``, ``"``, ``\\r`` or
-``\\n``, an ``int`` written with ``str``, or another number written with
-:func:`fmt`.
+4096 rows at a time, each block with one ``%`` on the row template repeated
+once per row: 1-D float array columns are formatted with
+:data:`NUMBER_FORMAT`; any other cell is text, quoted if it holds ``,``,
+``"``, ``\\r`` or ``\\n``, an ``int`` written with ``str``, or another
+number written with :func:`fmt`.
 
 The tag records two native rates: inertial channels (accelerometer,
 gyroscope, magnetometer) at nominally 50 Hz and environmental channels
@@ -17,7 +17,7 @@ downstream analysis runs on a uniform 5 Hz master timeline, an array of
 instants (:func:`master_timeline`) whose sample period is the run's
 ``RunConfig.dt``.
 
-A clean tag file is read as bytes, in 64 KB chunks of whole lines. The rows
+A clean tag file is read as bytes, in 256 KB chunks of whole lines. The rows
 of a chunk are grouped by which of their read cells are empty, and numpy's
 C reader converts each group's filled read cells in one call; it never sees
 an empty cell, and columns that are not read are never converted. Any other
@@ -35,7 +35,7 @@ import warnings
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -230,9 +230,13 @@ def _parse_rows(reader, read: list[int]) -> _Parsed:
     return t_imu, imu_buf, t_slow, slow_buf, flagged
 
 
-# Bytes of the body to read at a time: the memory the C reader takes grows
-# with it, and at 1 MB it peaks above 3x the file size.
-_CHUNK = 1 << 16
+# Bytes of the body to read at a time. Each chunk pays about 0.1 ms of
+# fixed numpy calls, and the memory the C reader takes grows with it. On
+# the 64-lap benchmark tag (8.9 MB; 2 vCPUs, Python 3.11.7, numpy 2.4.6),
+# best of 9 parses and tracemalloc peak by chunk size: 16 KB 166-179 ms,
+# 9.4 MB; 64 KB 132-142 ms, 9.6 MB; 256 KB 122-130 ms, 11.1 MB; 1 MB
+# 112-138 ms, 18.5 MB. At 1 MB a 2.3 MB tag peaks at 5x its size.
+_CHUNK = 1 << 18
 # The bytes that str.strip removes from a cell.
 _BLANK = np.array([chr(b).isspace() for b in range(256)])
 
@@ -327,8 +331,9 @@ def _parse_clean(fh, read: list[int], ncols: int, line: int) -> _Parsed | None:
 
 # The number format of every artifact: 9 significant digits.
 NUMBER_FORMAT = "%.9g"
-# Rows of a float column converted to Python floats at a time: converting
-# a whole column holds 4x its array bytes.
+# Rows of a table formatted with one ``%`` at a time: formatting a whole
+# table at once would hold all its cells as Python objects, 4x the bytes of
+# its float arrays.
 _BLOCK = 4096
 
 
@@ -354,39 +359,45 @@ def _cell(cell, alone: bool = False) -> str:
     return cell
 
 
-def _float_cells(values: np.ndarray) -> Iterable[float]:
-    """The cells of a float array as Python floats, a block at a time."""
-    return chain.from_iterable(values[i:i + _BLOCK].tolist()
-                               for i in range(0, len(values), _BLOCK))
-
-
 def write_table(path: str | Path, columns: dict[str, Iterable]) -> None:
     """Write ``columns`` (name -> cells, one per row) as a CSV table.
 
     The bytes are those of ``csv.writer`` with minimal quoting and
-    ``\\r\\n`` line ends. Each row is formatted with one ``%`` on a row
-    template built once per table. A column that is a 1-D float array
-    gets :data:`NUMBER_FORMAT` in the template, and its values are
-    converted to Python floats 4096 rows at a time, never the whole column
-    at once. Every other cell, and the header, goes through one rule per
-    cell (:func:`_cell`): text as it is (quoted if it holds ``,``, ``"``,
-    ``\\r`` or ``\\n``), ``int`` with ``str``, every other number with
-    :func:`fmt`.
+    ``\\r\\n`` line ends. The rows are written :data:`_BLOCK` at a time:
+    the block's cells, in row order, fill one object array, and one ``%``
+    applies the row template, repeated once per row, to all of them. A
+    column that is a 1-D float array gets :data:`NUMBER_FORMAT` in the
+    template, and its block is assigned as one slice. Every other cell,
+    and the header, goes through one rule per cell (:func:`_cell`): text
+    as it is (quoted if it holds ``,``, ``"``, ``\\r`` or ``\\n``),
+    ``int`` with ``str``, every other number with :func:`fmt`. As with
+    ``zip``, the table ends with its shortest column.
     """
     alone = len(columns) == 1
-    cells, template = [], []
-    for values in columns.values():
+    floats, texts, template = [], [], []
+    for j, values in enumerate(columns.values()):
         if isinstance(values, np.ndarray) and values.ndim == 1 \
                 and values.dtype.kind == "f":
-            cells.append(_float_cells(values))
+            floats.append((j, values))
             template.append(NUMBER_FORMAT)
         else:
-            cells.append(map(_cell, values, repeat(alone)))
+            texts.append((j, map(_cell, values, repeat(alone))))
             template.append("%s")
     row = ",".join(template) + "\r\n"
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(_cell(name, alone) for name in columns) + "\r\n")
-        fh.writelines(map(row.__mod__, zip(*cells)))
+        for start in count(0, _BLOCK):
+            block = [(j, values[start:start + _BLOCK]) for j, values in floats]
+            block += [(j, list(islice(cells, _BLOCK))) for j, cells in texts]
+            k = min((len(part) for _, part in block), default=0)
+            if k == 0:
+                break
+            table = np.empty((len(columns), k), object)
+            for j, part in block:
+                table[j] = part[:k]
+            fh.write(row * k % tuple(table.T.ravel().tolist()))
+            if k < _BLOCK:
+                break
 
 
 def read_table(path: str | Path) -> dict[str, list[str]]:

@@ -449,7 +449,8 @@ _PRESETS = {
 def preset_scenario(name: str, **overrides) -> LapScenario:
     """Scenario tuned to one of the study animals (TT01, TT02, TT03)."""
     if name not in _PRESETS:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
+        raise ScenarioError(
+            f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     kwargs = dict(_PRESETS[name])
     kwargs.update(overrides)
     return LapScenario(animal=get_animal(name), **kwargs)

@@ -578,6 +578,7 @@ class TestCleanFiles:
         assert_same_outcome(got, parse_outcome(loop_parse, path))
         assert got["t_imu"].tolist() == [0.0, 0.02, 0.04]
 
+    @mock.patch.object(ingest, "_CHUNK", 1 << 16)
     def test_bad_row_in_last_chunk(self, tmp_path):
         # The numpy reader has read every chunk but the last when it
         # meets the text cell; the row loop then reads the whole file.
@@ -797,14 +798,39 @@ class TestTable:
     @example(columns={"a": [""], "b": [""]})
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, columns):
+        # Blocks of one to three rows put block edges inside the table.
         with tempfile.TemporaryDirectory() as tmp:
             path, ref_path = Path(tmp) / "a.csv", Path(tmp) / "ref.csv"
-            write_table(path, columns)
             reference_write_table(ref_path, columns)
-            assert path.read_bytes() == ref_path.read_bytes()
+            for block in (1, 2, 3, ingest._BLOCK):
+                with mock.patch.object(ingest, "_BLOCK", block):
+                    write_table(path, columns)
+                assert path.read_bytes() == ref_path.read_bytes(), block
             assert read_table(path) == {
                 name: [reference_cell(cell) for cell in cells]
                 for name, cells in columns.items()}
+
+    def test_rows_across_blocks(self, tmp_path):
+        # Two full blocks and one row, from arrays, lists and a generator.
+        n = 2 * ingest._BLOCK + 1
+        rng = np.random.default_rng(1)
+        value = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n)
+        value[::97] = math.nan
+        text = [["TT01", "a,b", 'say "hi"', ""][i % 4] for i in range(n)]
+
+        def columns():
+            return {"lap": list(range(n)),
+                    "count": np.arange(n, dtype=np.int64) * 1000,
+                    "value": value,
+                    "single": value.astype(np.float32),
+                    "trial": text,
+                    "spread": (str(i) if i % 3 else "" for i in range(n))}
+
+        write_table(tmp_path / "a.csv", columns())
+        reference_write_table(tmp_path / "ref.csv", columns())
+        got = (tmp_path / "a.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == n + 1
 
     def test_memory_peak(self, tmp_path):
         # Float columns are converted to Python floats a block at a time;

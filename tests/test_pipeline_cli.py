@@ -161,6 +161,25 @@ class TestSimulateCommand:
             "presets: ['TT01', 'TT02', 'TT03']"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("scenario, args, line", [
+        (None, ["--preset", "TT99"],
+         "unknown preset 'TT99'; choose from ['TT01', 'TT02', 'TT03']"),
+        ("preset: TT03\nnoise: {foo: 1, gyro: 0.01}\n", [],
+         "unknown scenario keys: ['noise.foo']"),
+    ], ids=["preset", "noise_key"])
+    def test_unknown_name_exit_2(self, tmp_path, capsys, scenario, args,
+                                 line):
+        # The reason names the preset or key, without a KeyError's quotes.
+        if scenario is not None:
+            (tmp_path / "scn.yaml").write_text(scenario)
+            args = ["--scenario", str(tmp_path / "scn.yaml")]
+        capsys.readouterr()
+        assert main(["simulate", *args,
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: invalid scenario: {line}"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_scenario_exit_2(self, tmp_path):
         code = main(["simulate", "--scenario", str(tmp_path / "none.yaml"),
                      "--output-dir", str(tmp_path / "o")])

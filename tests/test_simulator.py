@@ -51,7 +51,7 @@ class TestScenarios:
         assert means["TT02"] > 3.2
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ScenarioError, match="unknown preset 'TT99'"):
             preset_scenario("TT99")
 
 
