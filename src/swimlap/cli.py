@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .params import animal_from
+from .params import animal_from, unknown_keys
 from .pipeline import RunConfig, run_analyze, run_report
 from .simulator import (
     LapScenario,
@@ -38,8 +38,8 @@ def scenario_from_dict(raw: dict) -> LapScenario:
     data = dict(raw)
     preset = data.pop("preset", None)
     animal = data.pop("animal", None)
-    unknown = sorted(set(data) - set(LapScenario.__dataclass_fields__)
-                     - {"fluke_amp_deg"})
+    unknown = unknown_keys(data, {*LapScenario.__dataclass_fields__,
+                                  "fluke_amp_deg"})
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {unknown}")
     if "fluke_amp_deg" in data:
@@ -52,10 +52,10 @@ def scenario_from_dict(raw: dict) -> LapScenario:
     if noise is not None:
         if not isinstance(noise, dict):
             raise ScenarioError(f"noise must be a mapping, got {noise!r}")
-        unknown = sorted(set(noise) - set(NoiseSpec.__dataclass_fields__))
+        unknown = unknown_keys(noise, NoiseSpec.__dataclass_fields__,
+                               "noise.")
         if unknown:
-            raise ScenarioError(f"unknown scenario keys: "
-                                f"{[f'noise.{k}' for k in unknown]}")
+            raise ScenarioError(f"unknown scenario keys: {unknown}")
         data["noise"] = NoiseSpec(**noise)
     if preset is not None and animal is not None:
         raise ScenarioError("scenario sets both 'preset' and 'animal'; "

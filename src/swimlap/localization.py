@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import fmt, local_to_latlon, write_table
+from .ingest import fmt, local_to_latlon
 from .kinematics import KinematicState
 
 # Cross-term magnitudes below this (m^2/s^3) count as straight-line motion.
@@ -106,13 +106,6 @@ def align_at_corner(tracks: list[Track], corner_indices: list[int]) -> list[Trac
             y=s * x + c * y,
         ))
     return aligned
-
-
-def track_to_csv(track: Track, radius: np.ndarray,
-                 path: str | Path) -> None:
-    """Write t, x, y rows and each sample's radius of curvature ``R``."""
-    write_table(path, {"t": track.t, "x": track.x, "y": track.y,
-                       "R": radius})
 
 
 def track_to_geojson(track: Track, path: str | Path,

@@ -33,6 +33,12 @@ def check_numbers(obj, names, ok, need: str, prefix: str = "") -> None:
             raise ValueError(f"{prefix}{name} must be {need}, got {value!r}")
 
 
+def unknown_keys(mapping, allowed, prefix: str = "") -> list[str]:
+    """The keys of ``mapping`` outside ``allowed``, each as text after
+    ``prefix``, in text order: a YAML key may be a number."""
+    return sorted(f"{prefix}{k}" for k in mapping if k not in allowed)
+
+
 @dataclass(frozen=True)
 class AnimalParams:
     """Morphometrics and model constants for one animal.
@@ -131,10 +137,10 @@ def animal_from(value) -> AnimalParams:
     if isinstance(value, str):
         return get_animal(value)
     if isinstance(value, dict):
-        unknown = sorted(set(value) - set(AnimalParams.__dataclass_fields__))
+        unknown = unknown_keys(value, AnimalParams.__dataclass_fields__,
+                               "animal.")
         if unknown:
-            raise ValueError(f"unknown config keys: "
-                             f"{[f'animal.{k}' for k in unknown]}")
+            raise ValueError(f"unknown config keys: {unknown}")
         return AnimalParams(**value)
     raise ValueError(f"animal must be a preset name {sorted(ANIMALS)} or a "
                      f"mapping of AnimalParams fields, got {value!r}")

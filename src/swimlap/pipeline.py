@@ -39,13 +39,13 @@ from .localization import (
     align_at_corner,
     curvature_radius,
     dead_reckon,
-    track_to_csv,
     track_to_geojson,
 )
 from .orientation import estimate_orientation
-from .params import AnimalParams, animal_from, check_numbers
+from .params import AnimalParams, animal_from, check_numbers, unknown_keys
 from .segmentation import (
     CLASS_STATS,
+    PCT_GRID,
     PHASE_CLASSES,
     LapEvents,
     SegmentationConfig,
@@ -55,7 +55,11 @@ from .segmentation import (
     normalize_lap,
 )
 
-NORMALIZED_CHANNELS = ("v", "a_t", "a_n", "depth", "p_thrust", "cot", "x", "y")
+# The channels of a normalized lap: its series.csv column, then its name
+# in the report's normalized-mean table.
+NORMALIZED_CHANNELS = (("v", "v"), ("a_t", "a_t"), ("a_n", "a_n"),
+                       ("depth", "depth"), ("P_thrust", "p_thrust"),
+                       ("COT", "cot"), ("x", "x"), ("y", "y"))
 
 # Per-lap columns of laps.csv that the report's phase-work table copies;
 # after the three phases it adds their active-fluking part, work_af_j.
@@ -123,9 +127,9 @@ class RunConfig:
         data.update({k: v for k, v in (overrides or {}).items()
                      if v is not None})
         seg = data.pop("segmentation", None) or {}
-        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
-        unknown += sorted(f"segmentation.{k}" for k in
-                          set(seg) - set(SegmentationConfig.__dataclass_fields__))
+        unknown = (unknown_keys(data, cls.__dataclass_fields__)
+                   + unknown_keys(seg, SegmentationConfig.__dataclass_fields__,
+                                  "segmentation."))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         animal = animal_from(data.pop("animal", None))
@@ -200,29 +204,15 @@ def write_laps_csv(result: TrialResult, path: Path) -> None:
     write_table(path, {k: [row[k] for row in result.laps] for k in keys})
 
 
-def write_energetics_csv(result: TrialResult, path: Path) -> None:
-    kin, power = result.kin, result.power
+def write_series_csv(result: TrialResult, path: Path) -> None:
+    """Every 5 Hz channel of the trial, one row per sample."""
+    kin, track, power = result.kin, result.track, result.power
     write_table(path, {
-        "t": kin.t, "v": kin.v, "a_t": kin.a_t, "depth": kin.depth,
-        "gamma": power.gamma, "F_drag": power.f_drag,
-        "F_thrust": power.f_thrust, "P_thrust": power.p_thrust,
-        "COT": power.cot})
-
-
-def write_normalized_csv(result: TrialResult, path: Path) -> None:
-    channels = {
-        "v": result.kin.v, "a_t": result.kin.a_t, "a_n": result.kin.a_n,
-        "depth": result.kin.depth, "p_thrust": result.power.p_thrust,
-        "cot": result.power.cot, "x": result.track.x, "y": result.track.y,
-    }
-    norms = [normalize_lap(channels, result.kin.t, ev)
-             for ev in result.events]
-    columns = {"lap": [lap for lap, norm in enumerate(norms)
-                       for _ in norm.pct],
-               "pct": _joined([norm.pct for norm in norms])}
-    for c in NORMALIZED_CHANNELS:
-        columns[c] = _joined([norm.channels[c] for norm in norms])
-    write_table(path, columns)
+        "t": kin.t, "x": track.x, "y": track.y,
+        "R": curvature_radius(track, kin.dt), "v": kin.v, "a_t": kin.a_t,
+        "a_n": kin.a_n, "depth": kin.depth, "gamma": power.gamma,
+        "F_drag": power.f_drag, "F_thrust": power.f_thrust,
+        "P_thrust": power.p_thrust, "COT": power.cot})
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -277,21 +267,17 @@ def _run_one_trial(cfg: RunConfig, input_path: str) -> dict:
     try:
         tag = parse_tag_csv(input_path, cfg.schema)
         result = analyze_trial(tag, cfg)
-        track_to_csv(result.track, curvature_radius(result.track, cfg.dt),
-                     trial_dir / "track.csv")
-        artifacts = ["track.csv"]
+        write_series_csv(result, trial_dir / "series.csv")
+        artifacts = ["series.csv"]
         if cfg.origin is not None:
             track_to_geojson(result.track, trial_dir / "track.geojson",
                              cfg.origin)
             artifacts.append("track.geojson")
         write_laps_csv(result, trial_dir / "laps.csv")
-        write_energetics_csv(result, trial_dir / "energetics.csv")
-        write_normalized_csv(result, trial_dir / "normalized.csv")
         (trial_dir / "fits.json").write_text(
             json.dumps(fit_summary(result.laps, cfg.animal), sort_keys=True,
                        indent=2) + "\n")
-        artifacts += ["laps.csv", "energetics.csv", "normalized.csv",
-                      "fits.json"]
+        artifacts += ["laps.csv", "fits.json"]
         # Dead-reckoning drift: the track should end where it began.
         mismatch = math.dist(result.track.end_point, cfg.station)
         status.update({"status": "ok", "n_laps": len(result.laps),
@@ -332,26 +318,18 @@ def run_analyze(cfg: RunConfig) -> int:
     return 0 if all(s["status"] == "ok" for s in trials) else 1
 
 
-def _normalized_mean(path: Path) -> dict[str, list]:
-    """Mean and std over the laps of each channel of ``normalized.csv``.
+def _normalized_mean(laps: dict[str, list]) -> dict[str, list]:
+    """Mean and std over the laps of each normalized channel.
 
-    One row per lap percentage; non-finite samples are left out, and a
-    percentage without any finite sample gets NaN. Every lap must hold
-    the first lap's percentage grid.
+    ``laps`` maps a channel to its values on ``PCT_GRID``, one row per
+    lap; the table has one row per lap percentage. Non-finite samples
+    are left out, and a percentage without any finite sample gets NaN.
     """
-    norm = read_numbers(path)
-    lap, pct = norm.pop("lap"), norm.pop("pct")
-    grid = pct[:np.count_nonzero(lap == lap[0])] if len(lap) else pct
-    n_laps = len(pct) // len(grid) if len(grid) else 0
-    if not np.array_equal(pct, np.tile(grid, n_laps)):
-        raise ValueError(f"{path}: laps do not share one percentage grid")
-    # The grid's cells as the file holds them: its numbers were written
-    # with fmt, so fmt gives the same text back.
-    table: dict[str, list] = {"pct": [fmt(p) for p in grid]}
-    for c, values in norm.items():
+    table: dict[str, list] = {"pct": [fmt(p) for p in PCT_GRID]}
+    for c, values in laps.items():
         # Percentages x laps, C-ordered: each row sums as numpy sums the
         # values of one percentage alone.
-        x = values.reshape(n_laps, len(grid)).T.copy()
+        x = np.reshape(values, (-1, len(PCT_GRID))).T.copy()
         ok = np.isfinite(x)
         n = ok.sum(axis=1)
         with np.errstate(invalid="ignore"):
@@ -407,9 +385,6 @@ def run_report(run_dir: str | Path) -> int:
         if not lap_ids:
             continue
 
-        write_table(report_dir / f"{trial}_normalized_mean.csv",
-                    _normalized_mean(trial_dir / "normalized.csv"))
-
         work["trial"] += [trial] * len(lap_ids)
         for c in ("lap", *WORK_COLUMNS):
             work[c] += laps[c]
@@ -424,19 +399,29 @@ def run_report(run_dir: str | Path) -> int:
                 for stat in CLASS_STATS:
                     speed[stat].append(laps[f"{cls}_{stat}"][i])
 
-        t, x, y = read_numbers(trial_dir / "track.csv",
-                               ("t", "x", "y")).values()
+        series = read_numbers(trial_dir / "series.csv",
+                              ("t", *(c for c, _ in NORMALIZED_CHANNELS)))
+        t = series["t"]
         tracks, corners, keep = [], [], []
+        normalized: dict[str, list] = {n: [] for _, n in NORMALIZED_CHANNELS}
         for i, lap_id in enumerate(lap_ids):
+            t_s, t_c, t_e = (float(laps[c][i])
+                             for c in ("t_start", "t_corner", "t_end"))
             # The lap's half-open sample window, as in LapEvents.window.
-            idx = np.flatnonzero((t >= float(laps["t_start"][i]))
-                                 & (t < float(laps["t_end"][i])))
+            idx = np.flatnonzero((t >= t_s) & (t < t_e))
             if len(idx) < 3:
                 continue
-            ci = int(np.argmin(np.abs(t[idx] - float(laps["t_corner"][i]))))
-            tracks.append(Track(t=t[idx], x=x[idx], y=y[idx]))
-            corners.append(ci)
+            tracks.append(Track(t=t[idx], x=series["x"][idx],
+                                y=series["y"][idx]))
+            corners.append(int(np.argmin(np.abs(t[idx] - t_c))))
             keep.append(lap_id)
+            lap = normalize_lap({n: series[c][idx]
+                                 for c, n in NORMALIZED_CHANNELS},
+                                t[idx], t_s, t_c, t_e)
+            for n, values in lap.items():
+                normalized[n].append(values)
+        write_table(report_dir / f"{trial}_normalized_mean.csv",
+                    _normalized_mean(normalized))
         for lap_id, lap_track in zip(keep, align_at_corner(tracks, corners)):
             aligned["trial"] += [trial] * len(lap_track)
             aligned["lap"] += [lap_id] * len(lap_track)

@@ -11,7 +11,7 @@ linear interpolation).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,9 @@ OSC_WINDOW_S = 2.0       # s, sliding window for oscillation
 TRANS_SUSTAIN_S = 1.0    # s, sustain for transient labeling
 MIN_PHASE_S = 0.6        # s, shorter phases merge into neighbor
 TURN_LEVEL = 0.55        # fraction of peak |a_n| bounding turn
-GRID_N = 201             # percentage points of a normalized lap
+# The percentage points of a normalized lap.
+PCT_GRID = np.linspace(0.0, 100.0, 201)
+PCT_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -252,14 +254,6 @@ def _merge_short_runs(seg: np.ndarray, min_n: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class NormalizedLap:
-    """Lap channels resampled onto a uniform percentage-lap grid."""
-
-    pct: np.ndarray
-    channels: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 def pct_lap_time(t: np.ndarray | float, t_c: float, t_end: float):
     """Piecewise percentage-lap mapping of lap-relative time, in percent.
 
@@ -279,22 +273,21 @@ def pct_lap_time(t: np.ndarray | float, t_c: float, t_end: float):
 
 
 def normalize_lap(channels: dict[str, np.ndarray], t: np.ndarray,
-                  events: LapEvents) -> NormalizedLap:
-    """Resample lap channels onto ``GRID_N`` uniform percentage points."""
-    lap = events.window
-    t_lap = t[lap]
-    if len(t_lap) < 2:
+                  t_s: float, t_c: float, t_e: float) -> dict[str, np.ndarray]:
+    """Resample one lap's channels, sampled at ``t``, onto ``PCT_GRID``.
+
+    ``t_s``, ``t_c`` and ``t_e`` are the lap's start, corner and end
+    times, as in :class:`LapEvents`: the corner maps to 50 %.
+    """
+    if len(t) < 2:
         raise ValueError("lap holds fewer than 2 samples")
-    pct = pct_lap_time(t_lap - events.t_s, events.t_c - events.t_s,
-                       events.t_e - events.t_s)
-    grid = np.linspace(0.0, 100.0, GRID_N)
+    pct = pct_lap_time(t - t_s, t_c - t_s, t_e - t_s)
     out = {}
     for name, ch in channels.items():
-        ch = np.asarray(ch, dtype=float)
         if len(ch) != len(t):
             raise ValueError(f"channel {name!r} not aligned to t")
-        out[name] = np.interp(grid, pct, ch[lap])
-    return NormalizedLap(pct=grid, channels=out)
+        out[name] = np.interp(PCT_GRID, pct, ch)
+    return out
 
 
 def lap_metrics(states: KinematicState, power: PowerSeries,

@@ -5,6 +5,7 @@ failure) and then asserts, so a red run still reports every criterion.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -216,7 +217,9 @@ def test_criterion_9_determinism(tmp_path):
               for p in sorted(out.rglob("*")) if p.is_file()}
     identical = first.keys() == second.keys() and all(
         first[k] == second[k] for k in first)
-    csv_json = [k for k in first if k.suffix in (".csv", ".json")]
-    report(9, identical and len(csv_json) >= 6,
+    # The trial's three artifacts and the manifest, and nothing else.
+    expected = {Path("manifest.json"), *(Path("tag") / name for name in (
+        "series.csv", "laps.csv", "fits.json"))}
+    report(9, identical and first.keys() == expected,
            f"two runs produced {len(first)} files, byte-identical: "
            f"{identical}")

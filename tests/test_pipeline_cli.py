@@ -10,9 +10,16 @@ import yaml
 
 from swimlap import pipeline
 from swimlap.cli import main
-from swimlap.ingest import fmt, parse_tag_csv, read_table, write_table
+from swimlap.ingest import fmt, parse_tag_csv, read_numbers, read_table
+from swimlap.localization import curvature_radius
 from swimlap.params import AnimalParams, get_animal
-from swimlap.pipeline import RunConfig, _normalized_mean, fit_summary
+from swimlap.pipeline import (
+    RunConfig,
+    _normalized_mean,
+    analyze_trial,
+    fit_summary,
+)
+from swimlap.segmentation import PCT_GRID, normalize_lap
 
 LAGOON_ORIGIN = (21.27, -157.77)
 
@@ -188,13 +195,31 @@ class TestSimulateCommand:
 
 class TestAnalyzeCommand:
     def test_artifacts(self, run_dir):
-        trial = run_dir / "tag"
-        for name in ("track.csv", "laps.csv", "energetics.csv",
-                     "normalized.csv", "fits.json"):
-            assert (trial / name).exists(), name
+        # Without an origin a trial holds these three files and no other.
+        names = ["series.csv", "laps.csv", "fits.json"]
+        assert sorted(p.name for p in (run_dir / "tag").iterdir()) == \
+            sorted(names)
         manifest = json.loads(read(run_dir / "manifest.json"))
         assert manifest["trials"][0]["status"] == "ok"
         assert manifest["trials"][0]["n_laps"] == 4
+        assert manifest["trials"][0]["artifacts"] == names
+
+    def test_series_cells(self, sim_dir, run_dir):
+        # Each column holds the printed values of the analysis in memory.
+        result = analyze_trial(parse_tag_csv(sim_dir / "tag.csv"),
+                               RunConfig(inputs=(), output_dir="o",
+                                         animal=get_animal("TT03")))
+        kin, track, power = result.kin, result.track, result.power
+        want = {"t": kin.t, "x": track.x, "y": track.y,
+                "R": curvature_radius(track, 0.2), "v": kin.v,
+                "a_t": kin.a_t, "a_n": kin.a_n, "depth": kin.depth,
+                "gamma": power.gamma, "F_drag": power.f_drag,
+                "F_thrust": power.f_thrust, "P_thrust": power.p_thrust,
+                "COT": power.cot}
+        got = read_table(run_dir / "tag" / "series.csv")
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert got[name] == [fmt(v) for v in values], name
 
     def test_lap_rows(self, run_dir):
         rows = read(run_dir / "tag" / "laps.csv").strip().splitlines()
@@ -399,6 +424,34 @@ class TestAnalyzeCommand:
             f"error: invalid config: {reason}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, text, line", [
+        ("analyze", "animal: TT03\nfoo: 1\n2: 3\n",
+         "invalid config: unknown config keys: ['2', 'foo']"),
+        ("analyze", "animal: TT03\nsegmentation: {foo: 1, 2: 3}\n",
+         "invalid config: unknown config keys: "
+         "['segmentation.2', 'segmentation.foo']"),
+        ("analyze", "animal: {mass: 1, length: 2, p_rmr: 3, foo: 1, 2: 3}\n",
+         "invalid config: unknown config keys: ['animal.2', 'animal.foo']"),
+        ("simulate", "preset: TT03\nfoo: 1\n2: 3\n",
+         "invalid scenario: unknown scenario keys: ['2', 'foo']"),
+        ("simulate", "preset: TT03\nnoise: {foo: 1, 2: 3}\n",
+         "invalid scenario: unknown scenario keys: ['noise.2', 'noise.foo']"),
+    ], ids=["config", "segmentation", "animal", "scenario", "noise"])
+    def test_number_keys_named_exit_2(self, sim_dir, tmp_path, capsys,
+                                      monkeypatch, command, text, line):
+        # A YAML key may be a number: each unknown key is named as text.
+        monkeypatch.chdir(tmp_path)
+        if command == "analyze":
+            text = f"inputs: [{sim_dir / 'tag.csv'}]\noutput_dir: o\n" + text
+            args = ["analyze", "--config", "f.yaml"]
+        else:
+            args = ["simulate", "--scenario", "f.yaml", "--output-dir", "o"]
+        (tmp_path / "f.yaml").write_text(text)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+        assert not (tmp_path / "o").exists()
+
     def test_failing_trial_continues_exit_1(self, sim_dir, tmp_path, capsys):
         bad = tmp_path / "broken.csv"
         bad.write_text("t,ax,ay,az,gx,gy,gz,mx,my,mz,depth,speed,temp\n"
@@ -481,7 +534,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", str(tmp_path / "cfg.yaml")]) == 0
         manifest = json.loads(read(tmp_path / "o" / "manifest.json"))
         assert manifest["config"]["station"] == list(expected)
-        first = read(tmp_path / "o" / "tag" / "track.csv").splitlines()[1]
+        first = read(tmp_path / "o" / "tag" / "series.csv").splitlines()[1]
         x0, y0 = (float(c) for c in first.split(",")[1:3])
         assert (x0, y0) == expected
 
@@ -645,7 +698,7 @@ class TestReportCommand:
         # The message names the file and the column it lacks.
         run = tmp_path / "run"
         shutil.copytree(run_dir, run)
-        track = run / "tag" / "track.csv"
+        track = run / "tag" / "series.csv"
         header, *rows = read(track).splitlines()
         i = header.split(",").index("x")
         track.write_text("".join(
@@ -655,6 +708,16 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(run)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {track}: missing column 'x'"]
+
+    def test_run_without_series_exit_2(self, run_dir, tmp_path, capsys):
+        # A run written before series.csv: one line naming the file.
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        (run / "tag" / "series.csv").unlink()
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(run / "tag" / "series.csv") in err[0]
 
     def test_aligned_tracks_hold_lap_windows(self, run_dir):
         # Each corner-aligned lap holds the lap's half-open sample window
@@ -685,15 +748,19 @@ class TestReportCommand:
         assert main(["analyze", "--input", str(sim / "tag.csv"),
                      "--output-dir", str(out), "--animal", "TT01"]) == 0
         assert main(["report", "--run-dir", str(out)]) == 0
-        with (out / "tag" / "normalized.csv").open() as fh:
-            norm = list(csv.DictReader(fh))
+        series = read_numbers(out / "tag" / "series.csv", ("t", "v"))
+        lap = {c: float(cells[0]) for c, cells in
+               read_table(out / "tag" / "laps.csv").items()}
+        window = ((series["t"] >= lap["t_start"])
+                  & (series["t"] < lap["t_end"]))
+        v = normalize_lap({"v": series["v"][window]}, series["t"][window],
+                          lap["t_start"], lap["t_corner"], lap["t_end"])["v"]
         with (out / "report" / "tag_normalized_mean.csv").open() as fh:
             mean = list(csv.DictReader(fh))
-        assert len(mean) == len(norm)
-        for r_norm, r_mean in zip(norm, mean):
-            assert float(r_mean["v_mean"]) == pytest.approx(
-                float(r_norm["v"]), rel=1e-9)
-            assert float(r_mean["v_std"]) == 0.0
+        assert len(mean) == len(v) == 201
+        for v_lap, row in zip(v, mean):
+            assert row["v_mean"] == fmt(v_lap)
+            assert float(row["v_std"]) == 0.0
 
     def test_identical_laps_zero_variance(self, tmp_path):
         # Grid-aligned scenario: every lap samples the same relative
@@ -737,69 +804,79 @@ def reference_normalized_mean(norm):
     return table
 
 
+def long_table(laps):
+    """Each channel's rows of lap values on ``PCT_GRID`` as one row per lap
+    and percentage, with the grid's printed cells."""
+    n_laps = len(next(iter(laps.values())))
+    table = {"lap": np.repeat(np.arange(n_laps), len(PCT_GRID)),
+             "pct": [fmt(p) for p in PCT_GRID] * n_laps}
+    table.update({c: np.ravel(values) for c, values in laps.items()})
+    return table
+
+
 class TestNormalizedMean:
-    @pytest.mark.parametrize("laps", [None, 64], ids=["run", "64_laps"])
-    def test_all_finite_equals_reference(self, run_dir, tmp_path, rng, laps):
+    @pytest.mark.parametrize("n_laps", [None, 64], ids=["run", "64_laps"])
+    def test_all_finite_equals_reference(self, run_dir, monkeypatch, rng,
+                                         n_laps):
         # On finite cells the masked sums are numpy's own mean and std, also
-        # past 8 laps, where numpy sums in eight interleaved parts.
-        path = run_dir / "tag" / "normalized.csv"
-        if laps:
-            path = tmp_path / "normalized.csv"
-            grid = np.linspace(0.0, 100.0, 11)
-            write_table(path, {"lap": [i for i in range(laps) for _ in grid],
-                               "pct": np.tile(grid, laps),
-                               "v": rng.normal(3.0, 2.0, laps * len(grid))})
-        norm = read_table(path)
-        assert np.isfinite(np.array(list(norm.values()), dtype=float)).all()
-        got = _normalized_mean(path)
-        want = reference_normalized_mean(norm)
+        # past 8 laps, where numpy sums in eight interleaved parts. The run
+        # case takes the laps that the report normalizes.
+        if n_laps:
+            laps = {"v": rng.normal(3.0, 2.0, (n_laps, len(PCT_GRID)))}
+        else:
+            seen = []
+            monkeypatch.setattr(pipeline, "_normalized_mean", lambda laps: (
+                seen.append(laps) or _normalized_mean(laps)))
+            assert main(["report", "--run-dir", str(run_dir)]) == 0
+            [laps] = seen
+            assert len(laps) == 8 and len(laps["v"]) == 4
+        assert all(np.isfinite(values).all() for values in laps.values())
+        got = _normalized_mean(laps)
+        want = reference_normalized_mean(long_table(laps))
         assert list(got) == list(want)
         for c, cells in want.items():
             assert list(map(str, got[c])) == list(map(str, cells)), c
 
-    def test_non_finite_cells(self, tmp_path, rng):
-        # Five laps on a 7-point grid; about a fifth of the cells nan, inf
-        # or -inf, and no finite sample at 50 %.
-        grid = np.linspace(0.0, 100.0, 7)
-        values = rng.normal(3.0, 2.0, size=(2, 5 * 7))
+    def test_non_finite_cells(self, rng):
+        # Eight laps; about a fifth of the cells nan, inf or -inf, and no
+        # finite sample at 50 %.
+        values = rng.normal(3.0, 2.0, size=(2, 8, len(PCT_GRID)))
         bad = rng.random(values.shape)
         values[bad < 0.1] = np.nan
         values[(0.1 <= bad) & (bad < 0.15)] = np.inf
         values[(0.15 <= bad) & (bad < 0.2)] = -np.inf
-        values[:, 3::7] = np.nan
-        values[1, 3::14] = np.inf
-        path = tmp_path / "normalized.csv"
-        write_table(path, {"lap": [lap for lap in range(5) for _ in grid],
-                           "pct": np.tile(grid, 5),
-                           "v": values[0], "cot": values[1]})
-        got = _normalized_mean(path)
-        want = reference_normalized_mean(read_table(path))
-        assert got["pct"] == want["pct"] == [fmt(p) for p in grid]
+        half = len(PCT_GRID) // 2
+        assert PCT_GRID[half] == 50.0
+        values[:, :, half] = np.nan
+        values[1, ::2, half] = np.inf
+        laps = {"v": values[0], "cot": values[1]}
+        got = _normalized_mean(laps)
+        want = reference_normalized_mean(long_table(laps))
+        assert got["pct"] == want["pct"] == [fmt(p) for p in PCT_GRID]
+        keep = np.arange(len(PCT_GRID)) != half
         for c in ("v_mean", "v_std", "cot_mean", "cot_std"):
             got_c, want_c = np.asarray(got[c]), np.asarray(want[c])
-            assert np.isnan(got_c[3]) and np.isnan(want_c[3]), c
-            keep = np.arange(7) != 3
+            assert np.isnan(got_c[half]) and np.isnan(want_c[half]), c
             assert np.isfinite(want_c[keep]).all(), c
             np.testing.assert_allclose(got_c[keep], want_c[keep],
                                        rtol=1e-12, atol=0.0, err_msg=c)
 
     def test_non_finite_cells_read_back(self, run_dir, tmp_path):
-        # A track radius of inf is never read; a cot of nan is left out
-        # of every average, which is then nan. Every other report cell
-        # stays as it was.
+        # A radius of inf is never read; a COT of nan is left out of every
+        # average, which is then nan. Every other report cell stays as it
+        # was.
         run = tmp_path / "run"
         shutil.copytree(run_dir, run)
         shutil.rmtree(run / "report", ignore_errors=True)
         assert main(["report", "--run-dir", str(run)]) == 0
         before = {p.name: read(p) for p in (run / "report").iterdir()}
-        for name, column, cell in (("track.csv", "R", "inf"),
-                                   ("normalized.csv", "cot", "nan")):
-            path = run / "tag" / name
-            header, *rows = read(path).splitlines()
+        path = run / "tag" / "series.csv"
+        header, *rows = read(path).splitlines()
+        for column, cell in (("R", "inf"), ("COT", "nan")):
             i = header.split(",").index(column)
             rows = [",".join(cells[:i] + [cell] + cells[i + 1:])
                     for cells in (row.split(",") for row in rows)]
-            path.write_text("\n".join([header, *rows]) + "\n")
+        path.write_text("\n".join([header, *rows]) + "\n")
         assert main(["report", "--run-dir", str(run)]) == 0
         after = {p.name: read(p) for p in (run / "report").iterdir()}
         assert after.keys() == before.keys()
@@ -813,25 +890,3 @@ class TestNormalizedMean:
             assert got_row["cot_mean"] == got_row["cot_std"] == "nan"
             for c in got_row.keys() - {"cot_mean", "cot_std"}:
                 assert got_row[c] == want_row[c], c
-
-    @pytest.mark.parametrize("edit", ["drop_row", "shift_pct"])
-    def test_laps_off_one_grid_exit_1(self, run_dir, tmp_path, capsys,
-                                      edit):
-        run = tmp_path / "run"
-        shutil.copytree(run_dir, run)
-        shutil.rmtree(run / "report", ignore_errors=True)
-        path = run / "tag" / "normalized.csv"
-        lines = read(path).splitlines(keepends=True)
-        row = 1 + 201 + 5  # a row of the second lap
-        if edit == "drop_row":
-            del lines[row]
-        else:
-            cells = lines[row].split(",")
-            cells[1] = fmt(float(cells[1]) + 0.01)
-            lines[row] = ",".join(cells)
-        path.write_text("".join(lines))
-        capsys.readouterr()
-        assert main(["report", "--run-dir", str(run)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), err
-        assert "percentage grid" in err[0]

@@ -12,6 +12,7 @@ from swimlap.segmentation import (
     GLIDE,
     REST,
     TRANSIENT,
+    PCT_GRID,
     LapEvents,
     _runs,
     _true_runs,
@@ -228,10 +229,12 @@ class TestNormalizeLap:
     def test_grid_and_corner(self, preset_trials):
         _, _, _, result = preset_trials["TT02"]
         ev = result.events[0]
-        norm = normalize_lap({"v": result.kin.v}, result.kin.t, ev)
-        assert norm.pct[0] == 0.0 and norm.pct[-1] == 100.0
-        assert len(norm.pct) == 201
-        assert 50.0 in norm.pct
+        w = ev.window
+        norm = normalize_lap({"v": result.kin.v[w]}, result.kin.t[w],
+                             ev.t_s, ev.t_c, ev.t_e)
+        assert PCT_GRID[0] == 0.0 and PCT_GRID[-1] == 100.0
+        assert len(PCT_GRID) == len(norm["v"]) == 201
+        assert 50.0 in PCT_GRID
         # The mapping itself puts the corner exactly at 50 %.
         rel_c = ev.t_c - ev.t_s
         assert pct_lap_time(rel_c, rel_c, ev.t_e - ev.t_s) == 50.0
@@ -239,15 +242,17 @@ class TestNormalizeLap:
     def test_constant_channel_preserved(self, preset_trials):
         _, _, _, result = preset_trials["TT02"]
         ev = result.events[0]
-        const = np.full(len(result.kin), 7.7)
-        norm = normalize_lap({"c": const}, result.kin.t, ev)
-        assert np.allclose(norm.channels["c"], 7.7, atol=0)
+        t = result.kin.t[ev.window]
+        norm = normalize_lap({"c": np.full(len(t), 7.7)}, t,
+                             ev.t_s, ev.t_c, ev.t_e)
+        assert np.allclose(norm["c"], 7.7, atol=0)
 
     def test_misaligned_channel_rejected(self, preset_trials):
         _, _, _, result = preset_trials["TT02"]
+        ev = result.events[0]
         with pytest.raises(ValueError, match="not aligned"):
-            normalize_lap({"bad": np.zeros(3)}, result.kin.t,
-                          result.events[0])
+            normalize_lap({"bad": np.zeros(3)}, result.kin.t[ev.window],
+                          ev.t_s, ev.t_c, ev.t_e)
 
 
 class TestLapMetrics:
@@ -341,6 +346,9 @@ class TestLapWindow:
             window = idx[ev.window]
             t = kin.t[ev.window]
             in_lap[ev.window] = True
+            # The report's rule finds the window from the event times.
+            assert np.array_equal(
+                np.flatnonzero((kin.t >= ev.t_s) & (kin.t < ev.t_e)), window)
             assert ev.duration == pytest.approx(len(t) * kin.dt, abs=1e-9)
             assert t[0] == ev.t_s < ev.turn_start
             assert ev.turn_end < t[-1] < ev.t_e
@@ -349,7 +357,7 @@ class TestLapWindow:
             assert m["peak_power_w"] == window[-1]
             assert m["mean_power_w"] == pytest.approx(window.mean())
 
-            norm = normalize_lap({"i": idx}, kin.t, ev)
-            assert norm.channels["i"][0] == window[0]
-            assert norm.channels["i"][-1] == window[-1]
+            norm = normalize_lap({"i": window}, t, ev.t_s, ev.t_c, ev.t_e)
+            assert norm["i"][0] == window[0]
+            assert norm["i"][-1] == window[-1]
         assert np.array_equal(labels != REST, in_lap)
