@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -38,16 +37,9 @@ def scenario_from_dict(raw: dict) -> LapScenario:
     data = dict(raw)
     preset = data.pop("preset", None)
     animal = data.pop("animal", None)
-    unknown = unknown_keys(data, {*LapScenario.__dataclass_fields__,
-                                  "fluke_amp_deg"})
+    unknown = unknown_keys(data, LapScenario.__dataclass_fields__)
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {unknown}")
-    if "fluke_amp_deg" in data:
-        deg = data.pop("fluke_amp_deg")
-        if not (type(deg) in (int, float) and 0.0 <= deg < 90.0):
-            raise ScenarioError(
-                f"fluke_amp_deg must be in [0, 90), got {deg!r}")
-        data["fluke_amp"] = math.radians(deg)
     noise = data.get("noise")
     if noise is not None:
         if not isinstance(noise, dict):

@@ -14,8 +14,8 @@ The tag records two native rates: inertial channels (accelerometer,
 gyroscope, magnetometer) at nominally 50 Hz and environmental channels
 (depth, speed) at nominally 5 Hz. Parsing keeps both rates; all
 downstream analysis runs on a uniform 5 Hz master timeline, an array of
-instants (:func:`master_timeline`) whose sample period is the run's
-``RunConfig.dt``.
+instants (:func:`master_timeline`) whose sample period is
+:data:`MASTER_DT`.
 
 A clean tag file is read as bytes, in 256 KB chunks of whole lines. The rows
 of a chunk are grouped by which of their read cells are empty, and numpy's
@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
+MASTER_DT = 0.2  # s, the sample period of the 5 Hz master timeline
 
 # Canonical CSV column names; a schema map may rename any of them. The
 # tag's temperature column is accepted and ignored.
@@ -425,8 +426,9 @@ def read_numbers(path: str | Path,
     return dict(zip(names, values.T))
 
 
-def master_timeline(tag: TagSeries, dt: float) -> np.ndarray:
-    """The analysis instants ``t0 + dt * [0..n)`` of ``tag``.
+def master_timeline(tag: TagSeries) -> np.ndarray:
+    """The analysis instants ``t0 + dt * [0..n)`` of ``tag``, with ``dt``
+    the master period :data:`MASTER_DT`.
 
     The timeline starts at the first slow sample and is trimmed so that
     both the slow and IMU channels span every instant (no extrapolation
@@ -434,6 +436,7 @@ def master_timeline(tag: TagSeries, dt: float) -> np.ndarray:
     magnitude: at that size the 9 significant digits of the artifacts no
     longer resolve ``dt / 100``.
     """
+    dt = MASTER_DT
     if tag.n_slow < 2:
         raise IngestError("need at least 2 depth/speed samples")
     t0 = float(tag.t_slow[0])

@@ -21,7 +21,7 @@ SMOOTH_WINDOW_S = 1.0
 class KinematicState:
     """Fused kinematic channels, one value per master-timeline sample.
 
-    ``dt`` is the timeline's sample period, the run's ``RunConfig.dt``.
+    ``dt`` is the timeline's sample period, ``ingest.MASTER_DT`` in a run.
     ``a_n`` is signed (omega * v); use its magnitude for peak detection.
     """
 

@@ -24,6 +24,7 @@ from . import __version__
 from .energetics import PowerSeries, fit_power_law, thrust_power
 from .ingest import (
     CSV_COLUMNS,
+    MASTER_DT,
     TagSeries,
     fmt,
     master_timeline,
@@ -82,7 +83,6 @@ class RunConfig:
     station: tuple[float, float] = (0.0, 0.0)
     jobs: int = 1
     schema: dict | None = None
-    dt: float = 0.2
     initial_heading_deg: float = 0.0
     segmentation: SegmentationConfig = SegmentationConfig()
 
@@ -93,8 +93,6 @@ class RunConfig:
         check_numbers(self, ("jobs",),
                       lambda v: isinstance(v, numbers.Integral) and v >= 1,
                       "an integer >= 1")
-        check_numbers(self, ("dt",), lambda v: 0.0 < v < math.inf,
-                      "a finite number > 0")
         check_numbers(self, ("initial_heading_deg",), math.isfinite,
                       "a finite number")
         # Without an origin no track.geojson is written; the station is
@@ -180,7 +178,7 @@ class TrialResult:
 
 def analyze_trial(tag: TagSeries, cfg: RunConfig) -> TrialResult:
     """Run the full estimation chain on one parsed tag series."""
-    t = master_timeline(tag, cfg.dt)
+    t = master_timeline(tag)
     orient = estimate_orientation(
         tag, initial_heading=math.radians(cfg.initial_heading_deg))
     kin = compute_kinematics(
@@ -188,7 +186,7 @@ def analyze_trial(tag: TagSeries, cfg: RunConfig) -> TrialResult:
         resample_linear(orient.t, orient.pitch, t),
         resample_linear(orient.t, orient.yaw, t),
         resample_linear(tag.t_slow, tag.depth, t),
-        t, cfg.dt)
+        t, MASTER_DT)
     track = dead_reckon(kin, cfg.station)
     power = thrust_power(kin.t, kin.v, kin.a_t, kin.depth, cfg.animal)
     events = detect_laps(kin, cfg.segmentation)

@@ -1,16 +1,18 @@
 """Lap boundaries, cornering events, swim-phase labels, lap normalization.
 
-Lap detection is threshold-based: a lap runs from a sustained rise of the
-smoothed speed above ``v_start`` (with pitch oscillation present) to a
-sustained fall below it. The cornering event is the peak of |normal
-acceleration| inside the lap, and the turn window is bounded where that
-signal drops to 55 % of the peak on either side (sub-sample crossings by
-linear interpolation).
+A lap is a run of the smoothed speed above ``v_start``, from a sustained
+rise to a sustained fall, whose smoothed heading turns by more than
+``TURN_MIN``: the medians of ``psi`` over the run's first and last
+``EDGE_N`` samples differ by that much. The cornering event ``t_c`` is
+the half-turn instant, where ``psi`` crosses the mean of those two
+medians (linear interpolation between samples); its corner sample is the
+one nearest to it. The turn window is bounded where |normal acceleration|
+drops to 55 % of its value at the corner sample on either side (sub-sample
+crossings by linear interpolation).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,9 @@ THETA_OSC = np.radians(5.0)   # rad, fluking pitch amplitude
 OSC_WINDOW_S = 2.0       # s, sliding window for oscillation
 TRANS_SUSTAIN_S = 1.0    # s, sustain for transient labeling
 MIN_PHASE_S = 0.6        # s, shorter phases merge into neighbor
-TURN_LEVEL = 0.55        # fraction of peak |a_n| bounding turn
+TURN_MIN = 0.75 * np.pi  # rad, heading change that makes a run a lap
+EDGE_N = 10              # samples at each run end that give its heading
+TURN_LEVEL = 0.55        # fraction of the corner's |a_n| bounding the turn
 # The percentage points of a normalized lap.
 PCT_GRID = np.linspace(0.0, 100.0, 201)
 PCT_GRID.flags.writeable = False
@@ -134,23 +138,17 @@ def detect_laps(states: KinematicState,
                 cfg: SegmentationConfig = SegmentationConfig()) -> list[LapEvents]:
     """Find all laps in a trial and their cornering events.
 
-    Returns an empty list when the speed never rises. Ties in the normal
-    acceleration peak resolve to the earliest sample with a warning.
+    Returns an empty list when no speed run turns.
     """
     t, v = states.t, states.v
     n = len(v)
     dt = states.dt
     start_n = max(1, int(round(START_SUSTAIN_S / dt)))
     end_n = max(1, int(round(END_SUSTAIN_S / dt)))
-    above = v > cfg.v_start
-    if not above.any():
-        return []
-    fluk = fluking_mask(states)
 
-    runs = _true_runs(above)
     # Dips below threshold shorter than the end sustain do not close a lap.
     merged: list[list[int]] = []
-    for i0, i1 in runs:
+    for i0, i1 in _true_runs(v > cfg.v_start):
         if merged and i0 - merged[-1][1] < end_n:
             merged[-1][1] = i1
         else:
@@ -160,38 +158,31 @@ def detect_laps(states: KinematicState,
     for i0, i1 in merged:
         if i1 - i0 < start_n:
             continue
-        if not fluk[i0:min(i0 + start_n, n)].any():
+        lap_t, psi = t[i0:i1], states.psi[i0:i1]
+        psi_s, psi_e = np.median(psi[:EDGE_N]), np.median(psi[-EDGE_N:])
+        if not abs(psi_e - psi_s) > TURN_MIN:
             continue
-        t_s = float(t[i0])
-        t_e = float(t[i1]) if i1 < n else float(t[-1]) + dt
-        lap_t = t[i0:i1]
-        an = np.abs(states.a_n[i0:i1])
-        peak = float(an.max())
-        c_rel = int(np.argmax(an))
-        if peak > 0.0 and np.count_nonzero(an >= peak * (1.0 - 1e-9)) > 1:
-            warnings.warn(
-                f"lap at t={t_s:.2f}: tied |a_n| maxima, using earliest",
-                stacklevel=2)
-        if peak == 0.0:
-            warnings.warn(
-                f"lap at t={t_s:.2f}: no cornering signal, event placed "
-                "mid-lap", stacklevel=2)
-            c_rel = (i1 - i0) // 2
-        # The event needs interior samples on both sides for valid bounds.
-        c_rel = int(np.clip(c_rel, 1, i1 - i0 - 2))
-        turn_start, turn_end = _turn_bounds(lap_t, an, c_rel, peak, dt)
+        # The heading past its half-turn, signed so that it rises through
+        # zero there: its median is negative over the first EDGE_N samples
+        # and positive over the last, so rel[k] < 0 <= rel[k + 1] for some k.
+        rel = (psi - 0.5 * (psi_s + psi_e)) * np.sign(psi_e - psi_s)
+        k = np.flatnonzero((rel[:-1] < 0.0) & (rel[1:] >= 0.0))[0]
+        t_c = float(lap_t[k] + dt * rel[k] / (rel[k] - rel[k + 1]))
+        c_rel = int(np.argmin(np.abs(lap_t - t_c)))
+        turn_start, turn_end = _turn_bounds(
+            lap_t, np.abs(states.a_n[i0:i1]), c_rel, t_c, dt)
         events.append(LapEvents(
-            t_s=t_s, t_c=float(lap_t[c_rel]), t_e=t_e,
+            t_s=float(t[i0]), t_c=t_c,
+            t_e=float(t[i1]) if i1 < n else float(t[-1]) + dt,
             turn_start=turn_start, turn_end=turn_end, start_idx=i0,
             corner_idx=i0 + c_rel, end_idx=i1))
     return events
 
 
-def _turn_bounds(t, an, c, peak, dt):
-    """Turn window around sample ``c`` of one lap's samples ``t``, ``an``."""
-    if peak <= 0.0:
-        return float(t[c]) - dt / 2, float(t[c]) + dt / 2
-    level = TURN_LEVEL * peak
+def _turn_bounds(t, an, c, t_c, dt):
+    """Turn window around sample ``c`` of one lap's samples ``t``, ``an``,
+    whose cornering event is ``t_c``."""
+    level = TURN_LEVEL * an[c]
     turn_start = float(t[0])
     for k in range(c - 1, -1, -1):
         if an[k] < level:
@@ -204,8 +195,7 @@ def _turn_bounds(t, an, c, peak, dt):
             frac = (an[k - 1] - level) / (an[k - 1] - an[k])
             turn_end = float(t[k - 1] + frac * dt)
             break
-    # Keep strict event ordering even for degenerate peaks.
-    t_c = float(t[c])
+    # Keep strict event ordering even without a cornering signal.
     turn_start = min(max(turn_start, float(t[0]) + 1e-9), t_c - 1e-9)
     turn_end = max(min(turn_end, float(t[-1]) - 1e-9), t_c + 1e-9)
     return turn_start, turn_end

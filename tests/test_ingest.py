@@ -851,7 +851,7 @@ class TestTable:
 class TestMasterTimeline:
     def test_from_simulated_tag(self, default_lap):
         _, _, tag, _ = default_lap
-        t = master_timeline(tag, 0.2)
+        t = master_timeline(tag)
         assert np.allclose(np.diff(t), 0.2, rtol=0, atol=1e-12)
         assert t[0] == tag.t_slow[0]
         assert t[-1] <= min(tag.t_slow[-1], tag.t_imu[-1]) + 1e-9
@@ -864,7 +864,7 @@ class TestMasterTimeline:
                         mag=None, t_slow=np.array([0.0]),
                         depth=np.zeros(1), speed=np.zeros(1))
         with pytest.raises(IngestError):
-            master_timeline(tag, 0.2)
+            master_timeline(tag)
 
     def test_time_stamps_at_limit(self, default_lap):
         # From 1e6 * dt on, 9 significant digits no longer resolve dt / 100.
@@ -874,6 +874,6 @@ class TestMasterTimeline:
             return replace(tag, t_imu=tag.t_imu + by, t_slow=tag.t_slow + by)
 
         end = min(tag.t_slow[-1], tag.t_imu[-1])
-        assert master_timeline(shifted(2e5 - 0.1 - end), 0.2)[-1] < 2e5
+        assert master_timeline(shifted(2e5 - 0.1 - end))[-1] < 2e5
         with pytest.raises(IngestError, match=r"limit 1e6 \* dt = 200000 s"):
-            master_timeline(shifted(2e5), 0.2)
+            master_timeline(shifted(2e5))

@@ -107,10 +107,11 @@ class TestComputeKinematics:
 class TestSamplePeriod:
     def test_shifted_tag_uses_configured_dt(self):
         # A tag that starts at 1000.1 s: t[1] - t[0] of its instants is
-        # 0.20000000000004547, yet every sum over the lap uses RunConfig.dt,
-        # so phase seconds are whole samples.
+        # 0.20000000000004547, yet every sum over the lap uses the master
+        # period MASTER_DT, so phase seconds are whole samples.
         from dataclasses import replace
 
+        from swimlap.ingest import MASTER_DT
         from swimlap.params import get_animal
         from swimlap.pipeline import RunConfig, analyze_trial
         from swimlap.simulator import preset_scenario, simulate
@@ -121,8 +122,8 @@ class TestSamplePeriod:
         cfg = RunConfig(inputs=("unused.csv",), output_dir="unused",
                         animal=get_animal("TT03"))
         result = analyze_trial(tag, cfg)
-        assert result.kin.dt == cfg.dt
-        assert result.kin.t[1] - result.kin.t[0] != cfg.dt
+        assert result.kin.dt == MASTER_DT
+        assert result.kin.t[1] - result.kin.t[0] != MASTER_DT
         assert len(result.laps) == 2
         assert [lap["transient_s"] for lap in result.laps] == [
-            61 * cfg.dt, 60 * cfg.dt]
+            61 * MASTER_DT, 60 * MASTER_DT]

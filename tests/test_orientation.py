@@ -52,7 +52,7 @@ def noisy_trial(preset, n_laps, seed, with_mag=True):
 def max_pitch_error(truth, tag):
     """Largest |pitch - truth| at the 5 Hz analysis instants."""
     orient = estimate_orientation(tag)
-    tl = master_timeline(tag, 0.2)
+    tl = master_timeline(tag)
     pitch = resample_linear(orient.t, orient.pitch, tl)
     return np.max(np.abs(pitch - truth.theta[:len(tl)]))
 
@@ -129,7 +129,7 @@ class TestEstimateOrientation:
     def test_zero_noise_yaw_rms(self, default_lap):
         scenario, truth, tag, _ = default_lap
         orient = estimate_orientation(tag)
-        tl = master_timeline(tag, 0.2)
+        tl = master_timeline(tag)
         yaw5 = resample_linear(orient.t, orient.yaw, tl)
         err = np.degrees(yaw5 - truth.psi[:len(tl)])
         assert np.sqrt(np.mean(err ** 2)) < 0.5
@@ -144,7 +144,7 @@ class TestEstimateOrientation:
         _, truth, tag, _ = default_lap
         tag_nomag = replace(tag, mag=None)
         orient = estimate_orientation(tag_nomag, initial_heading=0.0)
-        tl = master_timeline(tag, 0.2)
+        tl = master_timeline(tag)
         yaw5 = resample_linear(orient.t, orient.yaw, tl)
         err = np.degrees(yaw5 - truth.psi[:len(tl)])
         assert np.sqrt(np.mean(err ** 2)) < 3.0

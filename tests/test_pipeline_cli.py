@@ -27,12 +27,13 @@ LAGOON_ORIGIN = (21.27, -157.77)
 TT03_FIELDS = {"mass": 142.6, "length": 2.2, "p_rmr": 317.6}
 
 # Keys a config once set, each with a value it once took: the method's
-# fixed constants, the lagoon boundary file (its first vertex is the
-# origin) and the animal's fields (now the mapping form of ``animal``).
+# fixed constants (the master period ``dt`` among them), the lagoon
+# boundary file (its first vertex is the origin) and the animal's fields
+# (now the mapping form of ``animal``).
 # A config that sets one is refused for the key alone.
 REMOVED_KEYS = {
     "boundary": "lagoon.geojson", "params": TT03_FIELDS,
-    "use_mag": True, "beta": 0.1, "smooth_window_s": 1.0,
+    "dt": 0.2, "use_mag": True, "beta": 0.1, "smooth_window_s": 1.0,
     "gamma_table": [[0.5, 2.5], [3.0, 1.0]], "v_min_cot": 0.05,
     "grid_n": 201, "segmentation.start_sustain_s": 1.0,
     "segmentation.end_sustain_s": 2.0, "segmentation.theta_osc": 0.0872664626,
@@ -120,13 +121,16 @@ class TestSimulateCommand:
         ("corner_buffer_s: -1", [], "corner_buffer_s"),
         ("straight_length: 5", [], "straight_length"),
         ("speed_jitter: 2.0", [], "speed_jitter"),
-        ("fluke_amp_deg: .nan", [], "fluke_amp_deg"),
+        ("fluke_amp: .nan", [], "fluke_amp"),
         ("depth_out: .nan", [], "depth_out"),
         ("noise: {accel: -1}", [], "noise.accel"),
         ("lead_in_s: -3", [], "lead_in_s"),
         ("station_pause_s: -1", [], "station_pause_s"),
-        # The sample rates are module constants and the course starts at
-        # the origin heading east, so these are no longer settings.
+        # The sample rates are module constants, the course starts at the
+        # origin heading east and the fluke amplitude is set in radians
+        # alone, so these are no longer settings.
+        ("fluke_amp_deg: .nan", [],
+         "unknown scenario keys: ['fluke_amp_deg']"),
         ("imu_rate: 100", [], "unknown scenario keys: ['imu_rate']"),
         ("slow_rate: 10", [], "unknown scenario keys: ['slow_rate']"),
         ("p0: [1, 2]", [], "unknown scenario keys: ['p0']"),
@@ -137,9 +141,10 @@ class TestSimulateCommand:
         ids=["malformed_yaml", "n_laps_float", "n_laps_string",
              "seed_string", "seed_flag_negative", "corner_speed_nan",
              "corner_radius_inf", "corner_buffer_negative",
-             "straight_too_short", "speed_jitter_two", "fluke_amp_deg_nan",
+             "straight_too_short", "speed_jitter_two", "fluke_amp_nan",
              "depth_out_nan", "noise_negative", "lead_in_negative",
-             "station_pause_negative", "imu_rate", "slow_rate", "p0",
+             "station_pause_negative", "fluke_amp_deg_nan", "imu_rate",
+             "slow_rate", "p0",
              "heading0", "preset_and_animal", "output_dir_is_file"])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, line, args, name):
         # One line that names the setting or the path's fault, and no
@@ -579,12 +584,12 @@ class TestConfigHash:
 
     def test_default_hash_pinned(self, tmp_path):
         # The hash basis is every field but jobs, the paths, the origin and
-        # the column map: the animal, dt, initial_heading_deg and the
-        # two segmentation thresholds.
+        # the column map: the animal, initial_heading_deg and the two
+        # segmentation thresholds.
         raw = self.base(tmp_path)
         raw["animal"] = "TT03"
         assert RunConfig.from_dict(raw).config_hash() == (
-            "13124ee282f817cdae320c9bbfe84bc5a78db730b3965cc02eca8a6a8aa35b68")
+            "ce0d94445a0114620b6d7baab6f36ec1b9ae67142465a07d4f728b3a793e8016")
 
     def test_manifest_records_schema(self, sim_dir, run_dir, tmp_path):
         lines = read(sim_dir / "tag.csv").splitlines(keepends=True)
@@ -764,7 +769,8 @@ class TestReportCommand:
 
     def test_identical_laps_zero_variance(self, tmp_path):
         # Grid-aligned scenario: every lap samples the same relative
-        # instants, so per-percent variance of motion channels is zero.
+        # instants, and its interpolated corner falls at the same lap time,
+        # so per-percent variance of motion channels is zero.
         scn = {"animal": "TT01", "cruise_speed": 4.0, "corner_speed": 2.5,
                "accel": 0.75, "glide_decel": 0.75,
                "corner_radius": 5.0 / np.pi, "straight_length": 30.15,
@@ -777,11 +783,18 @@ class TestReportCommand:
         assert main(["analyze", "--input", str(sim / "tag.csv"),
                      "--output-dir", str(out), "--animal", "TT01"]) == 0
         assert main(["report", "--run-dir", str(out)]) == 0
+        # Finer than the 9 digits of laps.csv resolve, so in-process.
+        events = analyze_trial(parse_tag_csv(sim / "tag.csv"), RunConfig(
+            inputs=("unused.csv",), output_dir="unused",
+            animal=get_animal("TT01"))).events
+        corner = [ev.t_c - ev.t_s for ev in events]
+        assert len(corner) == 4
+        assert max(corner) - min(corner) < 1e-7, corner
         with (out / "report" / "tag_normalized_mean.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 201
         for row in rows:
-            for ch in ("v_std", "depth_std", "p_thrust_std"):
+            for ch in ("v_std", "depth_std"):
                 assert float(row[ch]) < 1e-6, (row["pct"], ch)
 
 

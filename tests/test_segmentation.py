@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_config
 from swimlap import get_animal
-from swimlap.kinematics import compute_kinematics
+from swimlap.kinematics import central_diff, compute_kinematics
+from swimlap.pipeline import analyze_trial
 from swimlap.segmentation import (
     CONSISTENT,
     GLIDE,
@@ -23,6 +25,10 @@ from swimlap.segmentation import (
     normalize_lap,
     pct_lap_time,
 )
+from swimlap.simulator import NoiseSpec, preset_scenario, simulate
+
+# Sensor noise at the level of the simulator's noisy tests.
+NOISE = NoiseSpec(accel=0.05, gyro=0.005, mag=0.01, depth=0.02, speed=0.05)
 
 
 class TestPctLapTime:
@@ -96,13 +102,22 @@ class TestRuns:
                                     if mask[a]]
 
 
+def heading_ramp(t, turn):
+    """A 180-degree heading ramp through ``turn`` = (start, half-turn,
+    end) times: linear from 0 to pi/2, then from pi/2 to pi."""
+    return np.interp(t, turn, [0.0, np.pi / 2, np.pi])
+
+
 def synthetic_state(v, pitch_amp=np.radians(10.0), fluke_hz=1.5,
-                    pitch_on=None, dt=0.2):
+                    pitch_on=None, turn=None, dt=0.2):
+    """A state from speed ``v``, fluking pitch and, given ``turn``, the
+    heading ramp of :func:`heading_ramp` (else a constant heading)."""
     n = len(v)
     t = np.arange(n) * dt
     pitch_on = np.ones(n, bool) if pitch_on is None else pitch_on
     pitch = pitch_amp * np.sin(2 * np.pi * fluke_hz * t) * pitch_on
-    return compute_kinematics(np.asarray(v, float), pitch, np.zeros(n),
+    yaw = np.zeros(n) if turn is None else heading_ramp(t, turn)
+    return compute_kinematics(np.asarray(v, float), pitch, yaw,
                               np.full(n, 1.0), t, dt)
 
 
@@ -115,7 +130,25 @@ class TestDetectLaps:
         for name, (_, truth, _, result) in preset_trials.items():
             assert len(result.events) == len(truth.laps), name
             for ev, lap in zip(result.events, truth.laps):
-                assert abs(ev.t_c - lap.t_apex) <= 0.2 + 1e-9, name
+                assert abs(ev.t_c - lap.t_apex) <= 0.02, name
+
+    @pytest.mark.parametrize("name", ["TT01", "TT02", "TT03"])
+    @pytest.mark.parametrize("amp_deg", [0.0, 4.0, 15.0])
+    def test_every_lap_found_at_any_stroke(self, name, amp_deg):
+        # A lap is its turn, so a weak stroke or none loses no lap, with
+        # and without noise or a magnetometer.
+        for n_laps, noise, mag in [(2, NoiseSpec(), True), (3, NOISE, True),
+                                   (4, NOISE, False)]:
+            scenario = preset_scenario(
+                name, n_laps=n_laps, fluke_amp=np.radians(amp_deg),
+                noise=noise)
+            truth, tag = simulate(scenario)
+            if not mag:
+                tag = replace(tag, mag=None)
+            events = analyze_trial(tag, make_config(scenario.animal)).events
+            assert len(events) == n_laps, (n_laps, noise, mag)
+            for ev, lap in zip(events, truth.laps):
+                assert abs(ev.t_c - lap.t_apex) <= 0.2, (n_laps, noise, mag)
 
     def test_turn_durations_match_observed(self, preset_trials):
         # Cornering lasted 1.4-1.6 s on average for every animal.
@@ -134,25 +167,68 @@ class TestDetectLaps:
         n = 400
         t = np.arange(n) * 0.2
         v = np.where((t > 20) & (t < 50), 3.0, 0.0)
-        base = synthetic_state(v)
-        with pytest.warns(UserWarning, match="no cornering signal"):
-            events = detect_laps(base)
-        padded = synthetic_state(np.concatenate([np.zeros(50), v, np.zeros(50)]))
-        with pytest.warns(UserWarning, match="no cornering signal"):
-            events_p = detect_laps(padded)
+        events = detect_laps(synthetic_state(v, turn=(33.0, 35.0, 37.0)))
+        padded = synthetic_state(np.concatenate([np.zeros(50), v, np.zeros(50)]),
+                                 turn=(43.0, 45.0, 47.0))
+        events_p = detect_laps(padded)
         assert len(events) == len(events_p) == 1
         assert events_p[0].t_s - events[0].t_s == pytest.approx(10.0, abs=1e-9)
+        assert events_p[0].t_c - events[0].t_c == pytest.approx(10.0, abs=1e-9)
         assert events_p[0].duration == pytest.approx(events[0].duration,
                                                      abs=0.21)
 
-    def test_requires_pitch_oscillation(self):
+    def test_sprint_without_turn_is_no_lap(self):
+        # Fluking speed on a straight heading: no turn, so no lap.
         n = 300
         t = np.arange(n) * 0.2
         v = np.where((t > 10) & (t < 40), 3.0, 0.0)
-        kin = synthetic_state(v, pitch_amp=0.0)
+        assert detect_laps(synthetic_state(v)) == []
+        # A turn short of the threshold is no lap either.
+        kin = synthetic_state(v, turn=(24.0, 25.0, 26.0))
+        kin = replace(kin, psi=kin.psi * 0.7)
         assert detect_laps(kin) == []
 
-    def test_tie_warning(self):
+    def test_pitch_free_turn_is_one_lap(self):
+        n = 300
+        t = np.arange(n) * 0.2
+        v = np.where((t > 10) & (t < 40), 3.0, 0.0)
+        kin = synthetic_state(v, pitch_amp=0.0, turn=(24.0, 25.0, 26.0))
+        events = detect_laps(kin)
+        assert len(events) == 1
+        assert events[0].t_c == pytest.approx(25.0, abs=0.02)
+        assert events[0].corner_idx == 125
+
+    def test_corner_at_asymmetric_half_turn(self):
+        # Heading channels as given, unsmoothed: 2 s into the half-turn at
+        # 30 s, 1 s out of it. |a_n| peaks in the fast half, yet the corner
+        # is the half-turn instant.
+        n = 400
+        t = np.arange(n) * 0.2
+        v = np.where((t > 20) & (t < 50), 3.0, 0.0)
+        kin = synthetic_state(v)
+        psi = heading_ramp(t, (28.0, 30.0, 31.0))
+        omega = central_diff(psi, kin.dt)
+        kin = replace(kin, psi=psi, omega=omega, a_n=omega * kin.v)
+        events = detect_laps(kin)
+        assert len(events) == 1
+        ev = events[0]
+        assert abs(ev.t_c - 30.0) <= 0.02
+        assert ev.corner_idx == 150
+        assert t[np.argmax(np.abs(kin.a_n))] > 30.1
+        assert ev.turn_start < 28.2 and 31.0 < ev.turn_end
+
+    @given(psi=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=60),
+           moving=st.lists(st.booleans(), min_size=60, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_any_heading_gives_ordered_events(self, psi, moving):
+        # Whatever the heading does, each lap found has a half-turn
+        # crossing, and LapEvents accepts the order of its events.
+        v = np.where(moving[:len(psi)], 3.0, 0.0)
+        kin = replace(synthetic_state(v), psi=np.array(psi))
+        for ev in detect_laps(kin):
+            assert ev.start_idx <= ev.corner_idx < ev.end_idx
+
+    def test_event_order_enforced(self):
         ev_args = dict(t_s=0.0, t_c=5.0, t_e=10.0, turn_start=4.0,
                        turn_end=6.0)
         LapEvents(**ev_args)
@@ -168,9 +244,8 @@ class TestClassifyPhases:
         ramp = np.linspace(0.0, 3.0, 40)
         v = np.concatenate([np.zeros(30), ramp, np.full(120, 3.0),
                             ramp[::-1], np.zeros(30)])
-        kin = synthetic_state(v)
-        with pytest.warns(UserWarning, match="no cornering signal"):
-            events = detect_laps(kin)
+        kin = synthetic_state(v, turn=(25.0, 26.0, 27.0))
+        events = detect_laps(kin)
         assert len(events) == 1
         labels = classify_phases(kin, events)
         ev = events[0]

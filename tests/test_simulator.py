@@ -175,7 +175,7 @@ class TestSynthesizeTag:
 
         _, truth, tag, _ = default_lap
         orient = estimate_orientation(tag)
-        tl = master_timeline(tag, 0.2)
+        tl = master_timeline(tag)
         yaw = resample_linear(orient.t, orient.yaw, tl)
         rms = np.sqrt(np.mean((np.degrees(yaw - truth.psi[:len(tl)])) ** 2))
         assert rms < 0.5
